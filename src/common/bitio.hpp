@@ -18,9 +18,29 @@ class BitWriter {
     if (++nbits_ == 64) flush_word();
   }
 
-  /// Writes the low `n` bits of `v`, most significant of those first.
+  /// Writes the low `n` bits of `v` (0 <= n <= 64), most significant of
+  /// those first. Bit-for-bit the same as n put_bit calls: the field is
+  /// shifted into the accumulator whole, and a field that straddles the
+  /// 64-bit word is split at the boundary.
   void put_bits(std::uint64_t v, int n) {
-    for (int i = n - 1; i >= 0; --i) put_bit(((v >> i) & 1u) != 0);
+    if (n <= 0) return;
+    const auto width = static_cast<unsigned>(n);
+    if (width < 64) v &= (std::uint64_t{1} << width) - 1;
+    const unsigned room = 64 - nbits_;
+    if (width < room) {
+      acc_ = (acc_ << width) | v;
+      nbits_ += width;
+      return;
+    }
+    // The top `room` bits of the field complete the word; the remaining
+    // `width - room` low bits start the next one.
+    const unsigned rest = width - room;
+    acc_ = room == 64 ? v : (acc_ << room) | (v >> rest);
+    flush_word();
+    if (rest > 0) {
+      acc_ = v & ((std::uint64_t{1} << rest) - 1);
+      nbits_ = rest;
+    }
   }
 
   /// Pads to a byte boundary and returns the assembled buffer.
@@ -56,10 +76,15 @@ class BitWriter {
   }
 
  private:
+  /// Appends the full accumulator as one big-endian 64-bit word.
   void flush_word() {
-    for (int i = 56; i >= 0; i -= 8) {
-      out_.push_back(static_cast<std::uint8_t>(acc_ >> i));
+    std::uint64_t w = acc_;
+    if constexpr (std::endian::native == std::endian::little) {
+      w = __builtin_bswap64(w);
     }
+    const std::size_t pos = out_.size();
+    out_.resize(pos + 8);
+    std::memcpy(out_.data() + pos, &w, 8);
     acc_ = 0;
     nbits_ = 0;
   }

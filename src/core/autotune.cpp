@@ -326,14 +326,10 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
   result.best_entropy = opts.codec.entropy;
   result.best_lossless = opts.codec.lossless;
   result.best_predictor = opts.codec.predictor;
-  const SampledData* grid_sample = &sample;
-  std::optional<SampledData> backend_periodic;
-  if ((opts.consider_predictors || opts.consider_backends) &&
-      result.best.period > 0) {
-    backend_periodic = sample_time_preserving(data, mask, opts.sampling_rate,
-                                              opts.time_dim);
-    grid_sample = &*backend_periodic;
-  }
+  // A periodic winner was tried on the time-preserving sample, which exists
+  // whenever a period was a candidate; the grids reuse it.
+  const SampledData* grid_sample =
+      result.best.period > 0 ? &periodic_sample.value() : &sample;
   if (opts.consider_predictors) {
     const SampledData* s = grid_sample;
     constexpr PredictorBackend kPredictors[] = {

@@ -2,6 +2,7 @@
 
 #include <chrono>
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -679,9 +680,17 @@ void compress_checked(const NdArray<T>& data, double abs_error_bound,
     const auto flat = data.flat();
     for (std::size_t i = 0; ok && i < flat.size(); ++i) {
       if (mask != nullptr && !mask->valid(i)) continue;
-      const double err = std::abs(static_cast<double>(recon[i]) -
-                                  static_cast<double>(flat[i]));
-      ok = err <= abs_error_bound;
+      const T orig = flat[i];
+      const T back = recon[i];
+      if (std::isfinite(orig)) {
+        const double err =
+            std::abs(static_cast<double>(back) - static_cast<double>(orig));
+        ok = err <= abs_error_bound;  // a NaN reconstruction compares false
+      } else {
+        // NaN/Inf travel through the outlier stream bit for bit; nothing
+        // less counts as a round trip.
+        ok = std::memcmp(&orig, &back, sizeof(T)) == 0;
+      }
     }
     verify_seconds += seconds_since(t0);
     return ok;
@@ -699,8 +708,10 @@ void compress_checked(const NdArray<T>& data, double abs_error_bound,
     safe.period = 0;
     safe.classify_bins = false;
     compress_impl(data, abs_error_bound, mask, safe, options, ctx, out);
-    CLIZ_REQUIRE(bound_holds(),
-                 "verified encode failed even with the degraded pipeline");
+    // No stream was read: the input is what the encoder cannot honour.
+    CLIZ_REQUIRE_CODE(bound_holds(), kBadArgument,
+                      "verified encode failed even with the degraded "
+                      "pipeline");
   }
   ctx.stats.verified = true;
   ctx.stats.verify_downgrades = first_ok ? 0 : 1;

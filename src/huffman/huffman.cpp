@@ -11,6 +11,13 @@ namespace {
 
 constexpr std::uint8_t kMaxCodeLength = 57;  // fits BitWriter's 64-bit staging
 
+// Direct encode table bounds. A table entry costs less to fill than one
+// binary search costs to run, so a table no longer than the census it
+// encodes (or kDirectMinSpan, which is negligible) always pays; the cap
+// keeps it at 1 MiB per codec.
+constexpr std::uint64_t kDirectMinSpan = 1024;
+constexpr std::uint64_t kDirectMaxSpan = std::uint64_t{1} << 17;
+
 }  // namespace
 
 /// Computes Huffman code lengths with the classic two-node merge, into
@@ -77,8 +84,10 @@ void HuffmanCodec::rebuild_from_frequencies(
     const std::unordered_map<std::uint32_t, std::uint64_t>& freq) {
   auto& entries = entry_scratch_;
   entries.clear();
+  std::uint64_t census = 0;
   for (const auto& [sym, f] : freq) {
     if (f > 0) entries.emplace_back(sym, f);
+    census += f;
   }
   std::sort(entries.begin(), entries.end());
 
@@ -102,7 +111,7 @@ void HuffmanCodec::rebuild_from_frequencies(
   for (std::size_t i = 0; i < entries.size(); ++i) {
     symbols_[i] = entries[i].first;
   }
-  build_canonical();
+  build_canonical(census);
 }
 
 HuffmanCodec HuffmanCodec::from_symbols(
@@ -112,7 +121,7 @@ HuffmanCodec HuffmanCodec::from_symbols(
   return from_frequencies(freq);
 }
 
-void HuffmanCodec::build_canonical() {
+void HuffmanCodec::build_canonical(std::uint64_t encode_census) {
   const std::size_t n = symbols_.size();
   CLIZ_REQUIRE(lengths_.size() == n, "length/symbol arity mismatch");
   // The fast decode table packs 24-bit canonical indices; parse() enforces
@@ -176,8 +185,9 @@ void HuffmanCodec::build_canonical() {
   for (std::size_t k = 0; k < n; ++k) {
     const std::uint32_t i = order[k];
     enc_symbols_[k] = symbols_[i];
-    enc_codes_[k] = Code{code_at(i), lengths_[i]};
+    enc_codes_[k] = (code_at(i) << kLengthBits) | lengths_[i];
   }
+  build_direct_table(encode_census);
 
   // One-shot decode table: every kTableBits-bit prefix of a short code maps
   // straight to its canonical index; longer codes leave a miss marker.
@@ -213,15 +223,42 @@ void HuffmanCodec::build_canonical() {
   }
 }
 
-const HuffmanCodec::Code* HuffmanCodec::find_code(std::uint32_t symbol) const {
+/// Spans the direct table over the alphabet's symbol range when that range
+/// is at most max(kDirectMinSpan, encode_census) entries (and
+/// kDirectMaxSpan). A quantizer alphabet often holds the escape symbol 0
+/// far below its dense bins; when only that symbol breaks the bound, the
+/// table starts at the next symbol and the escape takes the binary search.
+void HuffmanCodec::build_direct_table(std::uint64_t encode_census) {
+  direct_base_ = 0;
+  direct_codes_.clear();
+  const std::size_t n = enc_symbols_.size();
+  if (n == 0 || encode_census == 0) return;
+  const std::uint64_t limit =
+      std::min(kDirectMaxSpan, std::max(kDirectMinSpan, encode_census));
+  const auto span_from = [&](std::size_t first) {
+    return std::uint64_t{enc_symbols_.back()} - enc_symbols_[first] + 1;
+  };
+  std::size_t first = 0;
+  if (span_from(0) > limit) {
+    if (n < 2 || enc_symbols_[0] != 0 || span_from(1) > limit) return;
+    first = 1;
+  }
+  direct_base_ = enc_symbols_[first];
+  direct_codes_.assign(static_cast<std::size_t>(span_from(first)), 0);
+  for (std::size_t k = first; k < n; ++k) {
+    direct_codes_[enc_symbols_[k] - direct_base_] = enc_codes_[k];
+  }
+}
+
+std::uint64_t HuffmanCodec::search_code(std::uint32_t symbol) const {
   const auto it =
       std::lower_bound(enc_symbols_.begin(), enc_symbols_.end(), symbol);
-  if (it == enc_symbols_.end() || *it != symbol) return nullptr;
-  return &enc_codes_[static_cast<std::size_t>(it - enc_symbols_.begin())];
+  if (it == enc_symbols_.end() || *it != symbol) return 0;
+  return enc_codes_[static_cast<std::size_t>(it - enc_symbols_.begin())];
 }
 
 bool HuffmanCodec::contains(std::uint32_t symbol) const {
-  return find_code(symbol) != nullptr;
+  return find_code(symbol) != 0;
 }
 
 void HuffmanCodec::serialize(ByteWriter& out) const {
@@ -231,7 +268,7 @@ void HuffmanCodec::serialize(ByteWriter& out) const {
   std::uint32_t prev = 0;
   for (std::size_t k = 0; k < enc_symbols_.size(); ++k) {
     out.put_varint(enc_symbols_[k] - prev);
-    out.put_varint(enc_codes_[k].length);
+    out.put_varint(enc_codes_[k] & kLengthMask);
     prev = enc_symbols_[k];
   }
 }
@@ -267,15 +304,15 @@ void HuffmanCodec::parse(ByteReader& in) {
     symbols_[i] = prev;
     lengths_[i] = static_cast<std::uint8_t>(len);
   }
-  build_canonical();
+  build_canonical(0);
 }
 
 void HuffmanCodec::encode(std::span<const std::uint32_t> symbols,
                           BitWriter& bits) const {
   for (const std::uint32_t s : symbols) {
-    const Code* c = find_code(s);
-    CLIZ_REQUIRE(c != nullptr, "symbol not in huffman table");
-    bits.put_bits(c->bits, c->length);
+    const std::uint64_t code = find_code(s);
+    CLIZ_REQUIRE(code != 0, "symbol not in huffman table");
+    bits.put_bits(code >> kLengthBits, static_cast<int>(code & kLengthMask));
   }
 }
 
@@ -336,9 +373,9 @@ std::uint64_t HuffmanCodec::encoded_bits(
     std::span<const std::uint32_t> symbols) const {
   std::uint64_t total = 0;
   for (const std::uint32_t s : symbols) {
-    const Code* c = find_code(s);
-    CLIZ_REQUIRE(c != nullptr, "symbol not in huffman table");
-    total += c->length;
+    const std::uint64_t code = find_code(s);
+    CLIZ_REQUIRE(code != 0, "symbol not in huffman table");
+    total += code & kLengthMask;
   }
   return total;
 }
@@ -348,9 +385,9 @@ std::uint64_t HuffmanCodec::payload_bits(
   std::uint64_t total = 0;
   for (const auto& [sym, f] : freq) {
     if (f == 0) continue;
-    const Code* c = find_code(sym);
-    CLIZ_REQUIRE(c != nullptr, "symbol not in huffman table");
-    total += f * c->length;
+    const std::uint64_t code = find_code(sym);
+    CLIZ_REQUIRE(code != 0, "symbol not in huffman table");
+    total += f * (code & kLengthMask);
   }
   return total;
 }

@@ -70,16 +70,27 @@ class HuffmanCodec {
   [[nodiscard]] bool contains(std::uint32_t symbol) const;
 
  private:
-  struct Code {
-    std::uint64_t bits = 0;
-    std::uint8_t length = 0;
-  };
+  /// Encode-table entries pack a code as (bits << kLengthBits) | length;
+  /// a 57-bit code and its 6-bit length fit one word, and 0 marks a symbol
+  /// outside the alphabet (every real code has length >= 1).
+  static constexpr int kLengthBits = 6;
+  static constexpr std::uint64_t kLengthMask = (1u << kLengthBits) - 1;
 
-  void build_canonical();
+  /// Rebuilds the canonical order and every lookup table. `encode_census`
+  /// is the number of symbols the caller is about to encode (0 on the
+  /// parse path, which never encodes): it sizes the direct encode table.
+  void build_canonical(std::uint64_t encode_census);
+  void build_direct_table(std::uint64_t encode_census);
   void compute_code_lengths(const std::vector<std::uint64_t>& freqs,
                             std::vector<std::uint8_t>& lengths);
-  /// Encode-table lookup; nullptr when the symbol is not in the alphabet.
-  [[nodiscard]] const Code* find_code(std::uint32_t symbol) const;
+  /// Packed code of `symbol`, or 0 when it is not in the alphabet: one
+  /// index into the direct table, binary search outside its range.
+  [[nodiscard]] std::uint64_t find_code(std::uint32_t symbol) const {
+    const std::uint32_t k = symbol - direct_base_;
+    if (k < direct_codes_.size()) return direct_codes_[k];
+    return search_code(symbol);
+  }
+  [[nodiscard]] std::uint64_t search_code(std::uint32_t symbol) const;
   [[nodiscard]] std::uint32_t decode_slow(BitReader& bits) const;
 
   /// Width of the one-shot decode table: codes up to this length decode
@@ -90,9 +101,14 @@ class HuffmanCodec {
   std::vector<std::uint32_t> symbols_;
   std::vector<std::uint8_t> lengths_;  // parallel to symbols_
   // Encode lookup, sorted by symbol value (binary search); doubles as the
-  // serialization order.
+  // serialization order. enc_codes_ holds packed codes.
   std::vector<std::uint32_t> enc_symbols_;
-  std::vector<Code> enc_codes_;
+  std::vector<std::uint64_t> enc_codes_;
+  // Direct encode table: packed codes indexed by symbol - direct_base_
+  // (0 = not in the alphabet). Empty when the symbol range is too wide
+  // for the census being encoded; see build_direct_table().
+  std::uint32_t direct_base_ = 0;
+  std::vector<std::uint64_t> direct_codes_;
   // Canonical decode tables indexed by code length.
   std::vector<std::uint64_t> first_code_;   // first canonical code per length
   std::vector<std::uint32_t> first_index_;  // index into symbols_ per length

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
+#include <bit>
 #include <cstring>
+#include <limits>
 
 #include "src/common/crc32c.hpp"
 #include "src/common/parallel.hpp"
@@ -37,6 +39,9 @@ constexpr std::uint8_t kModeBlocksCrc = 4;
 constexpr std::uint8_t kModeRleCrc = 5;
 constexpr std::size_t kBlockSize = std::size_t{1} << 18;
 constexpr std::size_t kBlockSplitThreshold = std::size_t{1} << 20;
+// Single-block frames index their hash chains with int32 positions.
+static_assert(kBlockSplitThreshold <=
+              std::size_t{std::numeric_limits<std::int32_t>::max()});
 
 // Section sub-modes for huff_bytes().
 constexpr std::uint8_t kSectionRaw = 0;
@@ -48,16 +53,47 @@ std::uint32_t hash4(const std::uint8_t* p) {
   return (v * 2654435761u) >> 16;  // Knuth multiplicative, 16-bit bucket
 }
 
+std::uint64_t load64(const std::uint8_t* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, 8);
+  return v;
+}
+
+/// Length of the common prefix of `a` and `b`, capped at `limit`; both
+/// must have `limit` readable bytes. Compares 8 bytes per step: the first
+/// differing byte is the lowest set byte of the XOR on little-endian hosts
+/// (the highest on big-endian ones).
+std::size_t match_length(const std::uint8_t* a, const std::uint8_t* b,
+                         std::size_t limit) {
+  std::size_t len = 0;
+  while (len + 8 <= limit) {
+    const std::uint64_t diff = load64(a + len) ^ load64(b + len);
+    if (diff != 0) {
+      const int bit = std::endian::native == std::endian::little
+                          ? std::countr_zero(diff)
+                          : std::countl_zero(diff);
+      return len + static_cast<std::size_t>(bit >> 3);
+    }
+    len += 8;
+  }
+  while (len < limit && a[len] == b[len]) ++len;
+  return len;
+}
+
 /// Huffman-compresses a byte section with a raw fallback, staging through
 /// the scratch buffers.
 void put_section(ByteWriter& out, std::span<const std::uint8_t> bytes,
                  LosslessScratch& ctx) {
   if (bytes.size() >= 32) {
     ctx.section_symbols.assign(bytes.begin(), bytes.end());
+    std::array<std::uint64_t, 256> counts{};
+    for (const std::uint8_t b : bytes) ++counts[b];
     // Zero rather than clear: keeps the map nodes alive so the census of
     // the next section reuses them (rebuild skips zero-count entries).
     for (auto& [sym, f] : ctx.section_freq) f = 0;
-    for (const std::uint32_t s : ctx.section_symbols) ++ctx.section_freq[s];
+    for (std::uint32_t b = 0; b < counts.size(); ++b) {
+      if (counts[b] != 0) ctx.section_freq[b] = counts[b];
+    }
     ctx.section_codec.rebuild_from_frequencies(ctx.section_freq);
     ctx.section_table.clear();
     ctx.section_codec.serialize(ctx.section_table);
@@ -114,8 +150,10 @@ void compress_single_into(std::span<const std::uint8_t> in,
   std::size_t n_ops = 0;
 
   if (n >= kMinMatch) {
+    // Positions fit int32 (see kBlockSplitThreshold). prev[] needs no
+    // reset: a chain only reaches positions inserted earlier in this call.
     ctx.head.assign(1u << 16, -1);
-    ctx.prev.assign(n, -1);
+    ctx.prev.resize(n);
     auto& head = ctx.head;
     auto& prev = ctx.prev;
 
@@ -123,7 +161,7 @@ void compress_single_into(std::span<const std::uint8_t> in,
     const auto insert = [&](std::size_t pos) {
       const std::uint32_t h = hash4(in.data() + pos);
       prev[pos] = head[h];
-      head[h] = static_cast<std::int64_t>(pos);
+      head[h] = static_cast<std::int32_t>(pos);
     };
 
     while (i < n) {
@@ -131,20 +169,23 @@ void compress_single_into(std::span<const std::uint8_t> in,
       std::size_t best_dist = 0;
       if (i + kMinMatch <= n) {
         const std::uint32_t h = hash4(in.data() + i);
-        std::int64_t cand = head[h];
+        std::int32_t cand = head[h];
         int chain = 0;
         const std::size_t limit = std::min(kMaxMatch, n - i);
         while (cand >= 0 && chain++ < kMaxChain &&
                i - static_cast<std::size_t>(cand) <= kWindow) {
           const auto c = static_cast<std::size_t>(cand);
-          std::size_t len = 0;
-          while (len < limit && in[c + len] == in[i + len]) ++len;
+          cand = prev[c];
+          // A candidate that differs at best_len cannot be longer than
+          // the current best (ties keep the nearer, earlier-found match).
+          if (in[c + best_len] != in[i + best_len]) continue;
+          const std::size_t len =
+              match_length(in.data() + c, in.data() + i, limit);
           if (len > best_len) {
             best_len = len;
             best_dist = i - c;
             if (len == limit) break;
           }
-          cand = prev[c];
         }
       }
 

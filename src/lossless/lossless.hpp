@@ -47,8 +47,8 @@ inline std::optional<LosslessBackend> parse_lossless_backend(
 /// concurrent calls.
 struct LosslessScratch {
   // LZ77 hash chains over 4-byte prefixes.
-  std::vector<std::int64_t> head;
-  std::vector<std::int64_t> prev;
+  std::vector<std::int32_t> head;
+  std::vector<std::int32_t> prev;
   // Parse output staging.
   BitWriter flags;
   std::vector<std::uint8_t> literals;

@@ -93,5 +93,64 @@ TEST(BitIo, LongStreamCrossesWordBoundaries) {
   }
 }
 
+// --- differential check against the bit-at-a-time writer ---------------
+// put_bits shifts whole fields into the accumulator and flushes one 64-bit
+// word at a time. The reference below is the writer it replaced: one
+// put_bit per bit, most significant first. Both must emit the same bytes
+// for every width, alignment and padding.
+
+void reference_put_bits(BitWriter& w, std::uint64_t v, int n) {
+  for (int i = n - 1; i >= 0; --i) w.put_bit(((v >> i) & 1u) != 0);
+}
+
+TEST(BitIo, PutBitsMatchesBitAtATimeReference) {
+  Rng rng(2024);
+  BitWriter fast;
+  BitWriter ref;
+  for (int round = 0; round < 4; ++round) {
+    fast.reset();
+    ref.reset();
+    for (int op = 0; op < 3000; ++op) {
+      if (rng.uniform_index(5) == 0) {
+        const bool b = (rng.next_u64() & 1u) != 0;
+        fast.put_bit(b);
+        ref.put_bit(b);
+        continue;
+      }
+      const int width = static_cast<int>(rng.uniform_index(65));  // 0..64
+      // Bits above `width` are garbage the writer must ignore.
+      const std::uint64_t v = rng.next_u64();
+      fast.put_bits(v, width);
+      reference_put_bits(ref, v, width);
+      ASSERT_EQ(fast.bit_count(), ref.bit_count()) << "op " << op;
+    }
+    const auto a = fast.finish_view();
+    const auto b = ref.finish_view();
+    ASSERT_EQ(std::vector<std::uint8_t>(a.begin(), a.end()),
+              std::vector<std::uint8_t>(b.begin(), b.end()))
+        << "round " << round;
+  }
+}
+
+TEST(BitIo, PutBitsEveryWidthAtEveryAlignment) {
+  for (int lead = 0; lead < 64; ++lead) {
+    for (int width = 0; width <= 64; ++width) {
+      BitWriter fast;
+      BitWriter ref;
+      const std::uint64_t lead_bits = 0x5A5A5A5A5A5A5A5Aull;
+      fast.put_bits(lead_bits, lead);
+      reference_put_bits(ref, lead_bits, lead);
+      const std::uint64_t v =
+          0xF0E1D2C3B4A59687ull ^ (static_cast<std::uint64_t>(width) << 7);
+      fast.put_bits(v, width);
+      reference_put_bits(ref, v, width);
+      fast.put_bit(true);
+      ref.put_bit(true);
+      ASSERT_EQ(fast.finish(), ref.finish())
+          << "lead " << lead << " width " << width;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cliz

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
+#include <limits>
 
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
@@ -404,6 +406,55 @@ TEST(Cliz, VerifiedEncodeF64RoundTrips) {
   ASSERT_EQ(recon.shape(), shape);
   for (std::size_t i = 0; i < data.size(); ++i) {
     ASSERT_LE(std::abs(recon[i] - data[i]), 1e-4);
+  }
+}
+
+TEST(Cliz, VerifiedEncodeAcceptsExactNonFiniteRoundTrip) {
+  // NaN and +-Inf travel through the outlier stream bit for bit, so the
+  // verifier must accept them instead of comparing them with <=.
+  const Shape shape({16, 12, 10});
+  NdArray<float> data(shape);
+  Rng rng(91);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = 0.01f * static_cast<float>(i % 37) +
+              0.001f * static_cast<float>(rng.uniform());
+  }
+  data[5] = std::numeric_limits<float>::quiet_NaN();
+  data[77] = std::numeric_limits<float>::infinity();
+  data[300] = -std::numeric_limits<float>::infinity();
+  const auto config = PipelineConfig::defaults(3);
+  ClizOptions opts;
+  opts.verify_encode = true;
+  const ClizCompressor checked(config, opts);
+  const auto stream = checked.compress(data, 1e-3);
+  EXPECT_TRUE(checked.last_stats().verified);
+  EXPECT_EQ(checked.last_stats().verify_downgrades, 0u);
+  EXPECT_EQ(stream, ClizCompressor(config).compress(data, 1e-3));
+  const auto recon = ClizCompressor::decompress(stream);
+  for (const std::size_t i : {std::size_t{5}, std::size_t{77},
+                              std::size_t{300}}) {
+    EXPECT_EQ(std::memcmp(&recon[i], &data[i], sizeof(float)), 0) << i;
+  }
+}
+
+TEST(Cliz, VerifiedEncodeRefusalIsBadArgument) {
+  // A signalling NaN comes back quieted, so even the degraded pipeline
+  // cannot reproduce it bit for bit. No stream was read: the refusal names
+  // the input (kBadArgument), not a corrupt stream.
+  NdArray<float> data(Shape({16, 12, 10}));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = 0.01f * static_cast<float>(i % 37);
+  }
+  const std::uint32_t snan_bits = 0x7F800001u;
+  std::memcpy(&data[5], &snan_bits, sizeof(float));
+  ClizOptions opts;
+  opts.verify_encode = true;
+  try {
+    (void)ClizCompressor(PipelineConfig::defaults(3), opts)
+        .compress(data, 1e-3);
+    FAIL() << "expected the verifier to refuse the signalling NaN";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kBadArgument) << e.what();
   }
 }
 

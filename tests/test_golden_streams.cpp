@@ -16,11 +16,13 @@
 #include <string>
 #include <vector>
 
+#include "src/common/crc32c.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
 #include "src/core/chunked.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
+#include "src/lossless/lossless.hpp"
 #include "src/metrics/metrics.hpp"
 
 namespace cliz {
@@ -316,6 +318,130 @@ TEST(GoldenStreams, LargeFieldThreadCountInvariant) {
 
   const auto out = ClizCompressor::decompress(serial);
   EXPECT_LE(error_stats(big.flat(), out.flat()).max_abs_error, kEb);
+}
+
+// --- CRC32C locks for encoder paths the corpus does not pin -------------
+// The committed streams above are all huffman + lz. These digests pin the
+// other encoder paths without multi-MB fixtures: a change to the bit
+// writer, the Huffman encode table, the tANS encoder or the LZ parse that
+// alters any output byte fails here. A deliberate format change updates
+// the digests together with the corpus.
+
+/// Wide-alphabet 3-D field: strong noise on a quarter of the columns
+/// spreads the quantization codes over a few hundred bins (long Huffman
+/// codes), while the exactly linear rest yields long runs of one code that
+/// the LZ parse turns into matches.
+NdArray<float> wide_field() {
+  const Shape shape({24, 40, 48});
+  NdArray<float> a(shape);
+  Rng rng(6006);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const double noise =
+        i % 48 < 12 ? 0.4 * rng.uniform() * rng.uniform() : 0.0;
+    const double v = 0.01 * static_cast<double>(i % 48) +
+                     0.004 * static_cast<double>((i / 48) % 40) + noise;
+    a[i] = static_cast<float>(v);
+  }
+  return a;
+}
+
+/// CRC32C of a compressed stream whose lossless frame carries `mode`.
+std::uint32_t stream_crc(const PipelineConfig& config,
+                         const ClizOptions& options, const NdArray<float>& data,
+                         std::uint8_t mode, const MaskMap* mask = nullptr) {
+  const auto stream =
+      ClizCompressor(config, options).compress(data, kEb, mask);
+  EXPECT_FALSE(stream.empty());
+  EXPECT_EQ(stream.empty() ? -1 : stream[0], mode) << "lossless frame mode";
+  return crc32c(stream);
+}
+
+PipelineConfig classified_config() {
+  PipelineConfig c = PipelineConfig::defaults(3);
+  c.classify_bins = true;
+  return c;
+}
+
+// Lossless frame modes (docs/FORMAT.md).
+constexpr std::uint8_t kStored = 2;
+constexpr std::uint8_t kLz = 3;
+constexpr std::uint8_t kRle = 5;
+
+TEST(GoldenStreams, TansLzStreamsLocked) {
+  ClizOptions opts;
+  opts.entropy = EntropyBackend::kTans;
+  // Tiny and noisy: the LZ parse runs but loses to the stored fallback.
+  EXPECT_EQ(
+      stream_crc(PipelineConfig::defaults(2), opts, plain_field(), kStored),
+      0x2E810DE2u);
+  EXPECT_EQ(stream_crc(classified_config(), opts, wide_field(), kLz),
+            0x259E3C18u);
+  const auto mf = masked_field();
+  EXPECT_EQ(stream_crc(masked_config(), opts, mf.data, kLz, &mf.mask),
+            0xE092C17Eu);
+}
+
+TEST(GoldenStreams, HuffmanStoreStreamsLocked) {
+  ClizOptions opts;
+  opts.lossless = LosslessBackend::kStore;
+  EXPECT_EQ(
+      stream_crc(PipelineConfig::defaults(2), opts, plain_field(), kStored),
+      0xC5FDCD39u);
+  EXPECT_EQ(
+      stream_crc(PipelineConfig::defaults(3), opts, wide_field(), kStored),
+      0x06D8252Cu);
+  // All-constant data: the quant stream is one symbol, so the store
+  // backend's RLE frame beats the stored one.
+  NdArray<float> flat(Shape({32, 32}));
+  for (std::size_t i = 0; i < flat.size(); ++i) flat[i] = 1.5f;
+  EXPECT_EQ(stream_crc(PipelineConfig::defaults(2), opts, flat, kRle),
+            0xC718F434u);
+}
+
+TEST(GoldenStreams, ClassifiedMultiHuffmanStreamsLocked) {
+  ClizOptions store;
+  store.lossless = LosslessBackend::kStore;
+  EXPECT_EQ(stream_crc(classified_config(), store, wide_field(), kStored),
+            0xA38AD7F3u);
+  EXPECT_EQ(stream_crc(classified_config(), {}, wide_field(), kLz),
+            0x06752771u);
+  EXPECT_EQ(stream_crc(PipelineConfig::defaults(3), {}, wide_field(), kLz),
+            0x03CD6146u);
+  ClizOptions framed;
+  framed.frame_passes = true;
+  EXPECT_EQ(stream_crc(classified_config(), framed, wide_field(), kLz),
+            0xD4A99503u);
+}
+
+/// Deterministic bytes past the block-split threshold: runs, short and
+/// long repeats at varied distances, and noise.
+std::vector<std::uint8_t> block_split_bytes() {
+  const std::size_t n = (std::size_t{1} << 20) + (std::size_t{1} << 18) + 999;
+  std::vector<std::uint8_t> b(n);
+  Rng rng(7007);
+  for (std::size_t i = 0; i < n; ++i) {
+    const std::size_t phase = (i / 4096) % 4;
+    if (phase == 0) {
+      b[i] = static_cast<std::uint8_t>(rng.next_u64());
+    } else if (phase == 1 && i >= 3000) {
+      b[i] = b[i - 3000 + (rng.uniform_index(50) == 0 ? 1 : 0)];
+    } else if (phase == 2) {
+      b[i] = static_cast<std::uint8_t>((i / 37) % 5);
+    } else {
+      b[i] = static_cast<std::uint8_t>(rng.uniform_index(12));
+    }
+  }
+  return b;
+}
+
+TEST(GoldenStreams, LzBlockSplitFrameLocked) {
+  const auto input = block_split_bytes();
+  const auto frame = lossless_compress(input);
+  ASSERT_FALSE(frame.empty());
+  EXPECT_EQ(frame[0], 4) << "expected the block-split container";
+  EXPECT_EQ(frame.size(), 642597u);
+  EXPECT_EQ(crc32c(frame), 0x23C3BEA0u);
+  EXPECT_EQ(lossless_decompress(frame), input);
 }
 
 // --- v1 compatibility fixtures ------------------------------------------
