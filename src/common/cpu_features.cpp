@@ -12,8 +12,6 @@ const char* simd_tier_name(SimdTier tier) {
       return "scalar";
     case SimdTier::kSse42:
       return "sse42";
-    case SimdTier::kAvx2:
-      return "avx2";
   }
   return "?";
 }
@@ -28,10 +26,6 @@ bool parse_simd_tier(const char* name, SimdTier& out) {
     out = SimdTier::kSse42;
     return true;
   }
-  if (std::strcmp(name, "avx2") == 0) {
-    out = SimdTier::kAvx2;
-    return true;
-  }
   return false;
 }
 
@@ -39,7 +33,6 @@ namespace {
 
 SimdTier probe_cpu() {
 #if defined(__x86_64__) || defined(__i386__)
-  if (__builtin_cpu_supports("avx2")) return SimdTier::kAvx2;
   if (__builtin_cpu_supports("sse4.2")) return SimdTier::kSse42;
 #endif
   return SimdTier::kScalar;

@@ -2,13 +2,15 @@
 
 // Runtime ISA detection shared by every SIMD-dispatched kernel in the
 // library (CRC32C, the predict/quantize gather kernels, the periodic
-// template accumulators). Detection runs once per process; the active tier
+// template accumulators). There are two tiers: the portable scalar
+// reference and SSE4.2. Detection runs once per process; the active tier
 // can only be lowered from the detected one — via the CLIZ_SIMD environment
-// variable (scalar|sse42|avx2, read once at first use) or programmatically
+// variable (scalar|sse42, read once at first use) or programmatically
 // by set_active_simd_tier (tests force tiers in-process with it). Every
 // kernel family produces identical results at every tier, so the tier is a
 // pure speed knob and streams stay portable across machines.
 
+#include <cstddef>
 #include <cstdint>
 
 namespace cliz {
@@ -18,12 +20,11 @@ namespace cliz {
 enum class SimdTier : std::uint8_t {
   kScalar = 0,  ///< portable C++ (the reference implementation)
   kSse42 = 1,   ///< SSE4.2: 2-wide f64 / 4-wide f32 lanes + hardware CRC32C
-  kAvx2 = 2,    ///< AVX2: 4-wide f64 lanes + vector gathers
 };
-inline constexpr std::size_t kNumSimdTiers = 3;
+inline constexpr std::size_t kNumSimdTiers = 2;
 
-/// Lower-case tier name ("scalar", "sse42", "avx2") — the same spelling
-/// CLIZ_SIMD accepts and StageStats/--version report.
+/// Lower-case tier name ("scalar", "sse42") — the same spelling CLIZ_SIMD
+/// accepts and StageStats/--version report.
 const char* simd_tier_name(SimdTier tier);
 
 /// Parses a tier name; returns false (leaving `out` untouched) for unknown

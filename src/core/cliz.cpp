@@ -12,6 +12,7 @@
 
 #include "src/common/bitio.hpp"
 #include "src/common/cpu_features.hpp"
+#include "src/common/point_error.hpp"
 #include "src/core/bin_classify.hpp"
 #include "src/core/codec_context.hpp"
 #include "src/core/periodic.hpp"
@@ -680,17 +681,7 @@ void compress_checked(const NdArray<T>& data, double abs_error_bound,
     const auto flat = data.flat();
     for (std::size_t i = 0; ok && i < flat.size(); ++i) {
       if (mask != nullptr && !mask->valid(i)) continue;
-      const T orig = flat[i];
-      const T back = recon[i];
-      if (std::isfinite(orig)) {
-        const double err =
-            std::abs(static_cast<double>(back) - static_cast<double>(orig));
-        ok = err <= abs_error_bound;  // a NaN reconstruction compares false
-      } else {
-        // NaN/Inf travel through the outlier stream bit for bit; nothing
-        // less counts as a round trip.
-        ok = std::memcmp(&orig, &back, sizeof(T)) == 0;
-      }
+      ok = point_error(flat[i], recon[i]) <= abs_error_bound;
     }
     verify_seconds += seconds_since(t0);
     return ok;

@@ -80,20 +80,18 @@ NdArray<T> periodic_template(const NdArray<T>& data, std::size_t time_dim,
   NdArray<T> tmpl(tshape);
   std::vector<std::uint32_t> counts(tshape.size(), 0);
   std::vector<double> sums(tshape.size(), 0.0);
-  // Slab loop over contiguous inner runs through the widening-sum kernel:
+  // Slab loop over contiguous inner runs through the widening sum:
   // each template slot accumulates its contributions in ascending data
   // offset order, exactly like the old per-point walk.
   const detail::PeriodicSlabs sl(data.shape(), time_dim);
-  const SumKernelTable<T>& kt = sum_kernels<T>();
   const std::uint8_t* valid = mask != nullptr ? mask->data() : nullptr;
   std::size_t off = 0;
   for (std::size_t o = 0; o < sl.n_outer; ++o) {
     const std::size_t tbase_o = o * period * sl.inner;
     for (std::size_t t = 0; t < sl.time; ++t, off += sl.inner) {
       const std::size_t tbase = tbase_o + (t % period) * sl.inner;
-      kt.accumulate(sums.data() + tbase, counts.data() + tbase,
-                    data.data() + off,
-                    valid != nullptr ? valid + off : nullptr, sl.inner);
+      sum_widen(sums.data() + tbase, counts.data() + tbase, data.data() + off,
+                valid != nullptr ? valid + off : nullptr, sl.inner);
     }
   }
   for (std::size_t i = 0; i < tshape.size(); ++i) {

@@ -61,7 +61,7 @@ struct StageStats {
   /// (hardware_threads() at call time).
   int threads_used = 1;
   /// SIMD tier the predict/quantize kernels dispatched to (SimdTier value:
-  /// 0=scalar, 1=sse42, 2=avx2) — active_simd_tier() at call time.
+  /// 0=scalar, 1=sse42) — active_simd_tier() at call time.
   std::uint8_t simd_tier = 0;
   /// Predictor-stage backend id for this stream (encode: the requested
   /// backend; decode: the id read from the stream's predictor byte).

@@ -5,6 +5,7 @@
 #include <limits>
 #include <vector>
 
+#include "src/common/point_error.hpp"
 #include "src/common/status.hpp"
 
 namespace cliz {
@@ -16,21 +17,23 @@ ErrorStats error_stats(std::span<const float> original,
                "error_stats arity mismatch");
   ErrorStats s;
   double sum_sq = 0.0;
+  std::size_t n_finite = 0;
   double lo = std::numeric_limits<double>::infinity();
   double hi = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < original.size(); ++i) {
     if (mask != nullptr && !mask->valid(i)) continue;
-    const double o = static_cast<double>(original[i]);
-    const double r = static_cast<double>(reconstructed[i]);
-    const double e = std::abs(o - r);
+    ++s.count;
+    const double e = point_error(original[i], reconstructed[i]);
     s.max_abs_error = std::max(s.max_abs_error, e);
+    if (!std::isfinite(original[i])) continue;
+    const double o = static_cast<double>(original[i]);
     sum_sq += e * e;
     lo = std::min(lo, o);
     hi = std::max(hi, o);
-    ++s.count;
+    ++n_finite;
   }
-  if (s.count == 0) return s;
-  s.rmse = std::sqrt(sum_sq / static_cast<double>(s.count));
+  if (n_finite == 0) return s;
+  s.rmse = std::sqrt(sum_sq / static_cast<double>(n_finite));
   s.value_range = hi - lo;
   s.psnr = s.rmse > 0.0
                ? 20.0 * std::log10(s.value_range / s.rmse)

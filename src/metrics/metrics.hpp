@@ -9,12 +9,15 @@
 
 namespace cliz {
 
-/// Point-wise reconstruction error statistics over the valid points.
+/// Point-wise reconstruction error statistics over the valid points, each
+/// point judged by point_error (src/common/point_error.hpp).
 struct ErrorStats {
+  /// +inf when any point fails: a non-finite reconstruction of a finite
+  /// original, or a NaN/Inf original not reproduced bit for bit.
   double max_abs_error = 0.0;
-  double rmse = 0.0;
+  double rmse = 0.0;         ///< over the points with a finite original
   double psnr = 0.0;         ///< 20*log10(range / rmse), paper Eq. 3
-  double value_range = 0.0;  ///< max - min of the original valid data
+  double value_range = 0.0;  ///< max - min of the finite original values
   std::size_t count = 0;     ///< number of valid points compared
 };
 

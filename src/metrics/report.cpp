@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdio>
 
+#include "src/common/point_error.hpp"
 #include "src/common/status.hpp"
 
 namespace cliz {
@@ -30,9 +31,8 @@ QualityReport quality_report(const NdArray<float>& original,
     r.bound_satisfied = r.stats.max_abs_error <= abs_error_bound;
     for (std::size_t i = 0; i < original.size(); ++i) {
       if (mask != nullptr && !mask->valid(i)) continue;
-      const double e = std::abs(static_cast<double>(original[i]) -
-                                static_cast<double>(reconstructed[i]));
-      const double frac = e / abs_error_bound;
+      const double frac =
+          point_error(original[i], reconstructed[i]) / abs_error_bound;
       const auto bucket = static_cast<std::size_t>(std::min(
           9.0, std::floor(frac * 10.0)));
       ++r.error_histogram[bucket];

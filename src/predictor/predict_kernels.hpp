@@ -1,7 +1,7 @@
 #pragma once
 
 // Flat gather/scatter kernels for the predict/quantize hot path, dispatched
-// at runtime over the cpu_features ISA tiers (scalar / SSE4.2 / AVX2).
+// at runtime over the two cpu_features ISA tiers (scalar / SSE4.2).
 //
 // The line-parallel interpolation engine restructures each pass's work into
 // two branch-free shapes before any arithmetic runs:
@@ -27,7 +27,10 @@
 //    NaN — never perturbs a prediction);
 //  - divergent lanes (quantizer escapes, outlier reads) fall back to the
 //    scalar path per lane in ascending lane order, so the outlier side
-//    stream is appended/consumed in exactly the serial order.
+//    stream is appended/consumed in exactly the serial order;
+//  - an escape copies the original element from memory, never from its
+//    widened lane, so NaN payloads (signalling ones included) keep their
+//    bits.
 // Streams are therefore byte-identical across tiers and thread counts; the
 // golden corpus and the SimdKernels equivalence suite both enforce this.
 
@@ -154,28 +157,27 @@ inline const AccumKernelTable<T>& accum_kernels() {
   return accum_kernels_for<T>(active_simd_tier());
 }
 
-/// Masked widening-sum kernels for the periodic template build:
+/// Masked widening sum for the periodic template build:
 /// sums[i] += (double)src[i]; ++counts[i]; on valid lanes (every lane when
-/// valid == nullptr). Element-wise with one double add per lane per call,
-/// so the per-slot accumulation order is exactly the slab visit order and
-/// every tier is bit-identical.
+/// valid == nullptr). One double add per lane per call, so the per-slot
+/// accumulation order is exactly the slab visit order. No vector variant:
+/// at two lanes the widening converts eat the win.
 template <typename T>
-struct SumKernelTable {
-  void (*accumulate)(double* sums, std::uint32_t* counts, const T* src,
-                     const std::uint8_t* valid, std::size_t n);
-};
-
-template <typename T>
-const SumKernelTable<T>& sum_kernels_for(SimdTier tier);
-
-template <>
-const SumKernelTable<float>& sum_kernels_for<float>(SimdTier tier);
-template <>
-const SumKernelTable<double>& sum_kernels_for<double>(SimdTier tier);
-
-template <typename T>
-inline const SumKernelTable<T>& sum_kernels() {
-  return sum_kernels_for<T>(active_simd_tier());
+inline void sum_widen(double* sums, std::uint32_t* counts, const T* src,
+                      const std::uint8_t* valid, std::size_t n) {
+  if (valid == nullptr) {
+    for (std::size_t i = 0; i < n; ++i) {
+      sums[i] += static_cast<double>(src[i]);
+      ++counts[i];
+    }
+    return;
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    if (valid[i] != 0) {
+      sums[i] += static_cast<double>(src[i]);
+      ++counts[i];
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
 #include <numeric>
 
 #include "src/common/rng.hpp"
@@ -47,6 +50,41 @@ TEST(Metrics, MaskExcludesInvalidPoints) {
   EXPECT_EQ(s.count, 3u);
   EXPECT_EQ(s.max_abs_error, 0.0);
   EXPECT_DOUBLE_EQ(s.value_range, 2.0);
+}
+
+TEST(Metrics, NonFinitePointsUseTheBitExactPredicate) {
+  // A NaN reconstruction of finite data is an infinite error, not one that
+  // std::max skips; an exact NaN/Inf round trip is error 0 and stays out of
+  // RMSE and range; a NaN with different payload bits is a mismatch.
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  std::vector<float> orig{1.0f, 3.0f, nan, inf};
+  std::vector<float> exact{1.5f, 3.0f, nan, inf};
+  const auto ok = error_stats(orig, exact);
+  EXPECT_EQ(ok.count, 4u);
+  EXPECT_DOUBLE_EQ(ok.max_abs_error, 0.5);
+  EXPECT_DOUBLE_EQ(ok.rmse, std::sqrt(0.25 / 2.0));
+  EXPECT_DOUBLE_EQ(ok.value_range, 2.0);
+
+  std::vector<float> nan_recon{nan, 3.0f, nan, inf};
+  const auto bad = error_stats(orig, nan_recon);
+  EXPECT_EQ(bad.max_abs_error, inf);
+  EXPECT_EQ(bad.rmse, inf);
+  EXPECT_EQ(bad.psnr, -inf);
+
+  std::vector<float> other_payload = exact;
+  const std::uint32_t payload = 0x7FC00123u;
+  std::memcpy(&other_payload[2], &payload, sizeof(float));
+  EXPECT_EQ(error_stats(orig, other_payload).max_abs_error, inf);
+
+  const Shape shape({4});
+  NdArray<float> o(shape);
+  NdArray<float> r(shape);
+  std::copy(orig.begin(), orig.end(), o.data());
+  std::copy(nan_recon.begin(), nan_recon.end(), r.data());
+  EXPECT_FALSE(quality_report(o, r, nullptr, 1.0, 0).bound_satisfied);
+  std::copy(exact.begin(), exact.end(), r.data());
+  EXPECT_TRUE(quality_report(o, r, nullptr, 1.0, 0).bound_satisfied);
 }
 
 TEST(Metrics, MismatchedSizesThrow) {

@@ -1,16 +1,20 @@
 // SimdKernels equivalence suite: the flat predict/quantize kernels must be
-// bit-identical at every ISA tier. For randomized (shape, mask, fitting,
+// bit-identical at both ISA tiers. For randomized (shape, mask, fitting,
 // bound, texture) cases the whole codec is run with the tier pinned via
 // set_active_simd_tier — streams AND reconstructions must match the scalar
 // tier byte for byte, for f32 and f64, masked and unmasked, dynamic and
-// static fitting. Adversarial half-integer cases pin the llround emulation
+// static fitting, with signalling and payload NaNs, infinities and
+// +-FLT_MAX injected at valid points. Adversarial half-integer cases pin the
+// llround emulation
 // (round-half-away-from-zero on top of round-to-nearest-even); scan_codes
 // is checked against a reference scan; the Lorenzo raster scan must honour
 // cooperative cancellation at its poll points.
 #include <gtest/gtest.h>
 
+#include <cfloat>
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <numbers>
 #include <optional>
 #include <vector>
@@ -57,9 +61,37 @@ struct KernelCase {
   double eb = 1e-3;
 };
 
+/// Bit patterns of the non-finite and extreme values injected at valid
+/// points: a signalling NaN, a negative quiet NaN with a payload, +-Inf and
+/// +-FLT_MAX. A kernel that moves an escaped value through a register
+/// conversion quiets the signalling NaN and changes the outlier stream.
+template <typename T>
+std::vector<T> special_values() {
+  std::vector<T> v;
+  const auto from_bits = [&v](auto bits) {
+    T x;
+    static_assert(sizeof(bits) == sizeof(T));
+    std::memcpy(&x, &bits, sizeof(T));
+    v.push_back(x);
+  };
+  if constexpr (sizeof(T) == 4) {
+    from_bits(std::uint32_t{0x7F800001u});
+    from_bits(std::uint32_t{0xFFC12345u});
+  } else {
+    from_bits(std::uint64_t{0x7FF0000000000001ull});
+    from_bits(std::uint64_t{0xFFF8000000012345ull});
+  }
+  v.push_back(std::numeric_limits<T>::infinity());
+  v.push_back(-std::numeric_limits<T>::infinity());
+  v.push_back(static_cast<T>(FLT_MAX));
+  v.push_back(static_cast<T>(-FLT_MAX));
+  return v;
+}
+
 /// Random case generator biased toward the interp hot path: varied shapes
 /// (including length-1 and prime extents so boundary/tail lanes are hit),
-/// optional blob/row masks, both fitting kinds, dynamic and static.
+/// optional blob/row masks, both fitting kinds, dynamic and static, and
+/// every special_values() entry written over a random valid point.
 template <typename T>
 KernelCase<T> draw_case(std::uint64_t seed) {
   Rng rng(seed);
@@ -109,6 +141,16 @@ KernelCase<T> draw_case(std::uint64_t seed) {
   c.config.dynamic_fitting = rng.uniform() < 0.7;
   c.config.classify_bins = rng.uniform() < 0.3;
   c.eb = scale * std::pow(10.0, rng.uniform(-5.0, -1.0));
+
+  std::vector<std::size_t> valid;
+  for (std::size_t i = 0; i < c.data.size(); ++i) {
+    if (!c.mask.has_value() || c.mask->valid(i)) valid.push_back(i);
+  }
+  if (!valid.empty()) {
+    for (const T v : special_values<T>()) {
+      c.data[valid[rng.uniform_index(valid.size())]] = v;
+    }
+  }
   return c;
 }
 
@@ -279,11 +321,11 @@ TEST(SimdKernelsLorenzo, EncodeAndDecodeHonourCancellation) {
   }
 }
 
-// set_active_simd_tier must clamp to the detected tier so forcing e.g.
-// avx2 on a non-AVX2 host can never select illegal instructions.
+// set_active_simd_tier must clamp to the detected tier so forcing sse42 on
+// a host without SSE4.2 (or off x86) can never select illegal instructions.
 TEST(SimdKernelsDispatch, ActiveTierClampsToDetected) {
   TierGuard guard;
-  set_active_simd_tier(SimdTier::kAvx2);
+  set_active_simd_tier(SimdTier::kSse42);
   EXPECT_LE(static_cast<int>(active_simd_tier()),
             static_cast<int>(detected_simd_tier()));
   set_active_simd_tier(SimdTier::kScalar);

@@ -129,7 +129,7 @@ def kernel_summary(run):
 
     if not groups:
         return
-    tier_order = {"scalar": 0, "sse42": 1, "avx2": 2}
+    tier_order = {"scalar": 0, "sse42": 1}
     print("\npredict/quantize kernel tiers (speedup vs scalar):")
     for dtype, tiers in sorted(groups.items()):
         base = tiers.get("scalar")

@@ -102,8 +102,8 @@ verify are recovered even when the trailer or index is damaged, and the
 salvage report is printed to stderr.
 --threads N (any command) caps the worker threads used by the parallel
 codec paths; streams are byte-identical for every setting.
-CLIZ_SIMD=scalar|sse42|avx2 (environment) caps the SIMD tier of the
-predict/quantize kernels; streams are byte-identical at every tier.
+CLIZ_SIMD=scalar|sse42 (environment) caps the SIMD tier of the
+predict/quantize kernels; streams are byte-identical at both tiers.
 --max-output-bytes N (any command) rejects streams whose headers declare a
 decoded size above N bytes (exit 4) before anything is allocated.
 --deadline-ms N (any command) aborts decode/tune work cooperatively after
