@@ -304,45 +304,6 @@ void BM_LosslessBlocks(benchmark::State& state) {
   report_bytes(state, data.size());
 }
 
-/// Entropy-backend A/B on the fixture field: the full cliz compress and
-/// decompress path with the stage-3/4 coder forced to one registry backend.
-/// Ratio is reported alongside throughput so the tANS size/speed trade is
-/// visible in the JSON.
-void BM_EntropyBackendCompress(benchmark::State& state,
-                               EntropyBackend backend) {
-  auto& c = ctx();
-  ClizOptions opts;
-  opts.entropy = backend;
-  const ClizCompressor comp(c.tuned, opts);
-  CodecContext cctx;
-  std::vector<std::uint8_t> stream;
-  comp.compress_into(c.field.data, c.eb, c.field.mask_ptr(), cctx, stream);
-  for (auto _ : state) {
-    comp.compress_into(c.field.data, c.eb, c.field.mask_ptr(), cctx, stream);
-    benchmark::DoNotOptimize(stream.data());
-  }
-  report_bytes(state, c.field.data.size() * sizeof(float));
-  state.counters["ratio"] =
-      static_cast<double>(c.field.data.size() * sizeof(float)) /
-      static_cast<double>(stream.size());
-}
-
-void BM_EntropyBackendDecompress(benchmark::State& state,
-                                 EntropyBackend backend) {
-  auto& c = ctx();
-  ClizOptions opts;
-  opts.entropy = backend;
-  const ClizCompressor comp(c.tuned, opts);
-  const auto stream = comp.compress(c.field.data, c.eb, c.field.mask_ptr());
-  CodecContext cctx;
-  NdArray<float> out(c.field.data.shape());
-  for (auto _ : state) {
-    ClizCompressor::decompress_into(stream, cctx, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  report_bytes(state, c.field.data.size() * sizeof(float));
-}
-
 /// Predictor-backend A/B on the fixture field: the full cliz compress and
 /// decompress path with the stage-2 predictor forced to one registry
 /// backend. Ratio is reported alongside throughput so the Lorenzo /
@@ -561,22 +522,6 @@ int main(int argc, char** argv) {
       ->Arg(8)
       ->Arg(0)
       ->Unit(benchmark::kMillisecond);
-  for (const cliz::EntropyBackend backend :
-       {cliz::EntropyBackend::kHuffman, cliz::EntropyBackend::kTans}) {
-    const std::string name = cliz::entropy_backend_name(backend);
-    benchmark::RegisterBenchmark(
-        ("entropy_backend/" + name + "/compress").c_str(),
-        [backend](benchmark::State& s) {
-          cliz::BM_EntropyBackendCompress(s, backend);
-        })
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        ("entropy_backend/" + name + "/decompress").c_str(),
-        [backend](benchmark::State& s) {
-          cliz::BM_EntropyBackendDecompress(s, backend);
-        })
-        ->Unit(benchmark::kMillisecond);
-  }
   for (const cliz::PredictorBackend backend :
        {cliz::PredictorBackend::kInterp, cliz::PredictorBackend::kLorenzo1,
         cliz::PredictorBackend::kLorenzo2,

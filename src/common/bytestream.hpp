@@ -66,14 +66,6 @@ class ByteWriter {
     buf_.insert(buf_.end(), s.begin(), s.end());
   }
 
-  /// Patches an already-written byte in place. Used for the rare header
-  /// fields whose final value is only known after later stages run (e.g.
-  /// the entropy-backend id when the requested backend proves infeasible).
-  void overwrite_u8(std::size_t pos, std::uint8_t v) {
-    CLIZ_REQUIRE(pos < buf_.size(), "overwrite past end of writer");
-    buf_[pos] = v;
-  }
-
   /// Drops the contents, keeping the capacity (CodecContext reuse).
   void clear() noexcept { buf_.clear(); }
 

@@ -318,12 +318,11 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
   result.best_estimated_ratio = result.candidates.front().estimated_ratio;
 
   // Backend grids, phase A then B: predictor trials first (with the default
-  // entropy/lossless pair), then the entropy/lossless grid on the winning
-  // predictor. Both run sequentially on pool[0] in a fixed order with a
-  // strict comparison, so the choice is deterministic and ties keep the
-  // defaults (= the golden byte-identical stream). Sampled trials keep the
-  // 3-axis grid additive (4 + 4) rather than the full 16-cell product.
-  result.best_entropy = opts.codec.entropy;
+  // lossless backend), then the lossless grid on the winning predictor.
+  // Both run sequentially on pool[0] in a fixed order with a strict
+  // comparison, so the choice is deterministic and ties keep the defaults
+  // (= the golden byte-identical stream). Sampled trials keep the 2-axis
+  // grid additive (4 + 2) rather than the full 8-cell product.
   result.best_lossless = opts.codec.lossless;
   result.best_predictor = opts.codec.predictor;
   // A periodic winner was tried on the time-preserving sample, which exists
@@ -357,17 +356,12 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
   }
   if (opts.consider_backends) {
     const SampledData* s = grid_sample;
-    constexpr std::pair<EntropyBackend, LosslessBackend> kGrid[] = {
-        {EntropyBackend::kHuffman, LosslessBackend::kLz},
-        {EntropyBackend::kHuffman, LosslessBackend::kStore},
-        {EntropyBackend::kTans, LosslessBackend::kLz},
-        {EntropyBackend::kTans, LosslessBackend::kStore},
-    };
+    constexpr LosslessBackend kGrid[] = {LosslessBackend::kLz,
+                                         LosslessBackend::kStore};
     double best_ratio = 0.0;
-    for (const auto& [entropy, lossless] : kGrid) {
+    for (const LosslessBackend lossless : kGrid) {
       ClizOptions codec = opts.codec;
       codec.predictor = result.best_predictor;
-      codec.entropy = entropy;
       codec.lossless = lossless;
       const ClizCompressor comp(result.best, codec);
       const auto stream =
@@ -375,11 +369,9 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
       const double ratio =
           static_cast<double>(s->data.size() * sizeof(float)) /
           static_cast<double>(stream.size());
-      result.backend_candidates.push_back(
-          {entropy, lossless, ratio, pool[0].stats});
+      result.backend_candidates.push_back({lossless, ratio, pool[0].stats});
       if (ratio > best_ratio) {  // strict: ties keep the earlier (default)
         best_ratio = ratio;
-        result.best_entropy = entropy;
         result.best_lossless = lossless;
       }
     }
@@ -395,7 +387,6 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
     const SampledData* s = grid_sample;
     ClizOptions codec = opts.codec;
     codec.predictor = result.best_predictor;
-    codec.entropy = result.best_entropy;
     codec.lossless = result.best_lossless;
     codec.frame_passes = true;
     const ClizCompressor framed_comp(result.best, codec);
@@ -421,11 +412,9 @@ std::string AutotuneResult::to_json() const {
   char buf[192];
   std::string out = "{";
   std::snprintf(buf, sizeof(buf),
-                "\"best_predictor\":\"%s\",\"best_entropy\":\"%s\","
-                "\"best_lossless\":\"%s\",\"best_frame_passes\":%s,"
-                "\"best_estimated_ratio\":%.4f",
+                "\"best_predictor\":\"%s\",\"best_lossless\":\"%s\","
+                "\"best_frame_passes\":%s,\"best_estimated_ratio\":%.4f",
                 predictor_backend_name(best_predictor),
-                entropy_backend_name(best_entropy),
                 lossless_backend_name(best_lossless),
                 best_frame_passes ? "true" : "false", best_estimated_ratio);
   out += buf;
@@ -439,8 +428,7 @@ std::string AutotuneResult::to_json() const {
   out += "},\"backend_candidates\":{";
   for (std::size_t i = 0; i < backend_candidates.size(); ++i) {
     const BackendCandidate& c = backend_candidates[i];
-    std::snprintf(buf, sizeof(buf), "%s\"%s+%s\":%.4f", i == 0 ? "" : ",",
-                  entropy_backend_name(c.entropy),
+    std::snprintf(buf, sizeof(buf), "%s\"%s\":%.4f", i == 0 ? "" : ",",
                   lossless_backend_name(c.lossless), c.estimated_ratio);
     out += buf;
   }

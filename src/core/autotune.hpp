@@ -41,22 +41,22 @@ struct AutotuneOptions {
   /// allocations in the trial loop). Off: every trial gets a fresh context.
   /// Exists for A/B benching; streams and ranking are identical either way.
   bool reuse_contexts = true;
-  /// After the pipeline search, trial the entropy/lossless backend grid on
-  /// the winning configuration and record the best combination in
-  /// best_entropy/best_lossless. Ties keep the defaults (huffman + lz), so
-  /// a stream produced with the chosen backends only deviates from the
-  /// golden default when it is strictly smaller on the sample.
+  /// After the pipeline search, trial the lossless backends (lz, store) on
+  /// the winning configuration and record the best in best_lossless. Ties
+  /// keep the default (lz), so a stream produced with the chosen backend
+  /// only deviates from the golden default when it is strictly smaller on
+  /// the sample.
   bool consider_backends = true;
-  /// Before the entropy/lossless grid, trial every predictor backend on the
-  /// winning pipeline (with the default entropy/lossless pair) and record
-  /// the strict-best in best_predictor; the entropy/lossless grid then runs
-  /// with that predictor. Sampled trials keep the 3-axis grid additive
-  /// (4 + 4 trials) rather than multiplicative (16). Ties keep the default
-  /// (interpolation = the golden byte-identical stream).
+  /// Before the lossless grid, trial every predictor backend on the winning
+  /// pipeline (with the default lossless backend) and record the
+  /// strict-best in best_predictor; the lossless grid then runs with that
+  /// predictor. Sampled trials keep the 2-axis grid additive (4 + 2 trials)
+  /// rather than multiplicative (8). Ties keep the default (interpolation =
+  /// the golden byte-identical stream).
   bool consider_predictors = true;
   /// After the backend grids, trial the per-pass entropy framing container
   /// (ClizOptions::frame_passes) against the serial layout with the winning
-  /// predictor/entropy/lossless choice. Framing buys parallel decode at the
+  /// predictor/lossless choice. Framing buys parallel decode at the
   /// cost of an offset table, so it never wins on ratio alone; the phase
   /// only runs when the caller asked for framing (codec.frame_passes) and
   /// tunes it *off* again when the table overhead on the sample exceeds
@@ -69,9 +69,9 @@ struct AutotuneOptions {
   /// the default tolerates that inflation while still catching streams whose
   /// framing genuinely costs ratio.
   double frame_overhead_budget = 0.05;
-  /// Codec options forwarded to the trial compressions. The entropy and
-  /// lossless fields seed the backend grid's baseline (and are the final
-  /// choice when consider_backends is false).
+  /// Codec options forwarded to the trial compressions. The lossless field
+  /// seeds the backend grid's baseline (and is the final choice when
+  /// consider_backends is false).
   ClizOptions codec;
 };
 
@@ -92,13 +92,11 @@ struct PredictorCandidate {
   StageStats stats;
 };
 
-/// One tested entropy/lossless backend combination on the winning pipeline.
+/// One tested lossless backend on the winning pipeline.
 struct BackendCandidate {
-  EntropyBackend entropy = EntropyBackend::kHuffman;
   LosslessBackend lossless = LosslessBackend::kLz;
   double estimated_ratio = 0.0;
-  /// Stats of this combination's trial compression; entropy_backend here is
-  /// the backend actually used (a tANS trial that downgraded reads 0).
+  /// Stats of this backend's trial compression on the sample.
   StageStats stats;
 };
 
@@ -108,9 +106,10 @@ struct AutotuneResult {
   double best_estimated_ratio = 0.0;
   /// Every candidate tested, sorted by estimated ratio (best first).
   std::vector<PipelineCandidate> candidates;
-  /// Backend choice for the winning pipeline (defaults when the grid is
-  /// disabled or nothing beat huffman + lz on the sample).
+  /// Entropy coder: always Huffman, kept for source compatibility.
   EntropyBackend best_entropy = EntropyBackend::kHuffman;
+  /// Lossless backend for the winning pipeline (the default when the grid
+  /// is disabled or nothing beat lz on the sample).
   LosslessBackend best_lossless = LosslessBackend::kLz;
   /// Predictor backend for the winning pipeline (interp unless a trial on
   /// the sample strictly beat it).
@@ -118,7 +117,7 @@ struct AutotuneResult {
   /// Every predictor backend tested on `best`, in trial (wire-id) order
   /// (empty when consider_predictors is false).
   std::vector<PredictorCandidate> predictor_candidates;
-  /// Every backend combination tested on `best`, in trial order (empty when
+  /// Every lossless backend tested on `best`, in trial order (empty when
   /// consider_backends is false).
   std::vector<BackendCandidate> backend_candidates;
   /// Whether the tuned configuration keeps per-pass entropy framing (only
@@ -137,9 +136,9 @@ struct AutotuneResult {
 
   /// Single JSON object with the chosen backends and the per-backend
   /// candidate ratios of both grids (keys stable for the bench tooling):
-  /// {"best_predictor":..., "best_entropy":..., "best_lossless":...,
-  ///  "best_frame_passes":..., "predictor_candidates":{name: ratio, ...},
-  ///  "backend_candidates":{"entropy+lossless": ratio, ...}}
+  /// {"best_predictor":..., "best_lossless":..., "best_frame_passes":...,
+  ///  "predictor_candidates":{name: ratio, ...},
+  ///  "backend_candidates":{lossless name: ratio, ...}}
   [[nodiscard]] std::string to_json() const;
 };
 

@@ -214,17 +214,14 @@ void stage_predict(NdArray<T>& work, double quant_eb, const MaskMap* mask,
 /// census of the raw codes lands in ctx.freq[0]. Either way the census
 /// yields the symbol-stream entropy recorded in ctx.stats.
 ///
-/// The stage opens with the entropy byte — (backend id << 1) | classified,
-/// with bit 7 flagging the per-pass framed container — which doubles as the
-/// registry key for decode dispatch. The Huffman id is 0 and framing is off
-/// by default, so default streams keep the historical 0/1 values
-/// byte-for-byte. Returns the byte's stream offset so stage_encode can
-/// patch the id if the requested backend turns out to be infeasible for
-/// this census.
-std::size_t stage_classify(const Shape& shape, const PipelineConfig& config,
-                           const ClizOptions& options, CodecContext& ctx,
-                           ByteWriter& out,
-                           std::optional<BinClassification>& classification) {
+/// The stage opens with the entropy byte — (coder id << 1) | classified,
+/// with bit 7 flagging the per-pass framed container. The coder id is
+/// always 0 (Huffman) and framing is off by default, so default streams
+/// keep the historical 0/1 values byte-for-byte.
+void stage_classify(const Shape& shape, const PipelineConfig& config,
+                    const ClizOptions& options, CodecContext& ctx,
+                    ByteWriter& out,
+                    std::optional<BinClassification>& classification) {
   const auto t0 = Clock::now();
   auto& st = ctx.stats.at(CodecStage::kClassify);
   st.input_bytes = ctx.codes.size() * sizeof(std::uint32_t);
@@ -232,9 +229,8 @@ std::size_t stage_classify(const Shape& shape, const PipelineConfig& config,
 
   const std::size_t plane = classification_plane(shape);
   const bool classify = config.classify_bins && plane > 0;
-  out.put_u8(static_cast<std::uint8_t>(
-      (static_cast<std::uint8_t>(options.entropy) << 1) |
-      (classify ? 1u : 0u) | (options.frame_passes ? 0x80u : 0u)));
+  out.put_u8(static_cast<std::uint8_t>((classify ? 1u : 0u) |
+                                       (options.frame_passes ? 0x80u : 0u)));
   std::size_t n_groups = 1;
 
   if (classify) {
@@ -291,20 +287,15 @@ std::size_t stage_classify(const Shape& shape, const PipelineConfig& config,
   st.output_bytes =
       ctx.codes.size() * sizeof(std::uint32_t) + (out.size() - base);
   st.seconds = seconds_since(t0);
-  return base;
 }
 
-/// Stage 4 (kEncode): entropy coding of the symbol stream through the
-/// backend registry (multi-Huffman by default, tANS on request). Tables are
+/// Stage 4 (kEncode): multi-Huffman coding of the symbol stream. Trees are
 /// rebuilt in place from the stage-3 censuses (one per group, or the single
-/// table in unclassified mode), serialized, and the symbol stream is
-/// bit-packed. When the requested backend cannot represent the census (tANS
-/// with an alphabet past 2^15 symbols) the stage falls back to Huffman and
-/// patches the entropy byte stage_classify wrote at `entropy_byte_pos`.
+/// tree in unclassified mode), serialized, and the symbol stream is
+/// bit-packed, serially or in the framed container.
 void stage_encode(const ClizOptions& options,
                   const std::optional<BinClassification>& classification,
-                  std::size_t entropy_byte_pos, CodecContext& ctx,
-                  ByteWriter& out) {
+                  CodecContext& ctx, ByteWriter& out) {
   const auto t0 = Clock::now();
   auto& st = ctx.stats.at(CodecStage::kEncode);
   st.input_bytes = ctx.codes.size() * sizeof(std::uint32_t);
@@ -313,23 +304,12 @@ void stage_encode(const ClizOptions& options,
   const bool classified = classification.has_value();
   const std::size_t n_groups =
       classified ? options.classify.group_types() : 1;
-  const EntropyBackendOps* ops = &entropy_backend_ops(options.entropy);
-  if (!ops->encodable(ctx, n_groups)) {
-    ops = &entropy_backend_ops(EntropyBackend::kHuffman);
-    out.overwrite_u8(entropy_byte_pos,
-                     static_cast<std::uint8_t>(
-                         (static_cast<std::uint8_t>(ops->id) << 1) |
-                         (classified ? 1u : 0u) |
-                         (options.frame_passes ? 0x80u : 0u)));
-    ctx.stats.entropy_downgraded = true;
-  }
   if (options.frame_passes) {
-    framed_entropy_encode(*ops, classified, n_groups, ctx, out);
+    framed_entropy_encode(classified, n_groups, ctx, out);
   } else {
-    ops->encode(classified, n_groups, ctx, out);
+    huffman_encode(classified, n_groups, ctx, out);
   }
   ctx.stats.frame_passes = options.frame_passes;
-  ctx.stats.entropy_backend = static_cast<std::uint8_t>(ops->id);
 
   st.output_bytes = out.size() - base;
   st.seconds = seconds_since(t0);
@@ -396,9 +376,8 @@ void compress_impl(const NdArray<T>& data, double abs_error_bound,
   stage_predict(work, quant_eb, mask, config, options, ctx, raw);
   if (ctx.cancel != nullptr) ctx.cancel->check();
   std::optional<BinClassification> classification;
-  const std::size_t entropy_byte_pos =
-      stage_classify(shape, config, options, ctx, raw, classification);
-  stage_encode(options, classification, entropy_byte_pos, ctx, raw);
+  stage_classify(shape, config, options, ctx, raw, classification);
+  stage_encode(options, classification, ctx, raw);
   if (ctx.cancel != nullptr) ctx.cancel->check();
   stage_lossless(options, ctx, out);
 
@@ -517,18 +496,18 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
   for (auto& v : outliers) v = in.get<T>();
   const std::size_t n_codes = static_cast<std::size_t>(in.get_varint());
   CLIZ_REQUIRE(n_codes <= shape.size(), "corrupt code count");
-  // Entropy byte: (backend id << 1) | classified, bit 7 = per-pass framed
-  // container. Dispatch is driven purely by the stored id; an id this build
-  // does not know (e.g. a stream from a future version) is a clean error,
-  // never UB.
+  // Entropy byte: (coder id << 1) | classified, bit 7 = per-pass framed
+  // container. Id 0 is Huffman; id 1 is the retired tANS coder; any other
+  // id (e.g. a stream from a future version) is a clean error, never UB.
   const std::uint8_t entropy_byte = in.get_u8();
   const bool classify = (entropy_byte & 1u) != 0;
   const bool framed = (entropy_byte & 0x80u) != 0;
-  const EntropyBackendOps* entropy_ops = find_entropy_backend(
-      static_cast<std::uint8_t>((entropy_byte >> 1) & 0x3Fu));
-  CLIZ_REQUIRE(entropy_ops != nullptr, "unknown entropy backend id");
-  ctx.stats.entropy_backend =
-      static_cast<std::uint8_t>((entropy_byte >> 1) & 0x3Fu);
+  const unsigned entropy_id = (entropy_byte >> 1) & 0x3Fu;
+  CLIZ_REQUIRE_CODE(entropy_id != 1, kUnsupported,
+                    "stream uses the retired tANS entropy backend (entropy "
+                    "id 1); decode it with a build at or before commit "
+                    "3f73614");
+  CLIZ_REQUIRE(entropy_id == 0, "unknown entropy backend id");
   ctx.stats.frame_passes = framed;
   ctx.stats.lossless_backend =
       static_cast<std::uint8_t>(lossless_frame_backend(stream));
@@ -543,10 +522,9 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
   std::size_t cursor = 0;
   std::size_t decoded = 0;
 
-  // Symbol source for the quantization codes, classified or plain. The
-  // classification block is backend-independent; the coding tables behind
-  // it are parsed by the backend named in the entropy byte (kEncode's
-  // inverse), into the context's codec pools.
+  // Symbol source for the quantization codes, classified or plain: the
+  // classification block, then the Huffman trees behind it (kEncode's
+  // inverse), parsed into the context's tree pool.
   const auto t_tables = Clock::now();
   std::optional<BinClassification> classification;
   EntropyDecodeState entropy_state;
@@ -565,20 +543,19 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
         entropy_escape_symbol(radius, classification->params().j);
   }
   if (framed) {
-    framed_entropy_parse(*entropy_ops, in, n_trees, n_codes, entropy_state);
+    framed_entropy_parse(in, n_trees, n_codes, entropy_state);
     ctx.stats.frame_segments = entropy_state.segments.size();
   } else {
-    entropy_ops->parse(in, n_trees, entropy_state);
+    huffman_parse(in, n_trees, entropy_state);
   }
   ctx.stats.at(CodecStage::kEncode).seconds = seconds_since(t_tables);
   // Batched symbol source for the quantization codes, classified or plain.
   // The line-parallel decoder hands over a whole pass of target offsets at
-  // once. Serial streams drain one bitstream in order (the backends batch
-  // internally — the unclassified Huffman path runs through the
-  // multi-symbol fast-table decoder); framed streams split each fetch into
-  // the encoder-recorded segments and decode them on parallel workers, each
-  // with a private bit reader over its own payload slice and a disjoint
-  // offs/dst range.
+  // once. Serial streams drain one bitstream in order (the unclassified
+  // path runs through the multi-symbol fast-table decoder); framed streams
+  // split each fetch into the encoder-recorded segments and decode them on
+  // parallel workers, each with a private bit reader over its own payload
+  // slice and a disjoint offs/dst range.
   std::size_t fetch_pos = 0;   // symbols consumed by earlier fetches
   std::size_t seg_cursor = 0;  // segments consumed by earlier fetches
   auto fetch_impl = [&](const std::uint64_t* offs, std::uint32_t* dst,
@@ -588,7 +565,7 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
     if (ctx.cancel != nullptr) ctx.cancel->check();
     decoded += n;
     if (!framed) {
-      entropy_ops->fetch(entropy_state, offs, dst, n);
+      huffman_fetch(entropy_state, offs, dst, n);
       return;
     }
     const auto segs = entropy_state.segments;
@@ -605,7 +582,7 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
     parallel_for_cancellable(first, seg_cursor, ctx.cancel, [&](std::size_t si) {
       const FramedSegment& seg = segs[si];
       const std::size_t rel = seg.sym_base - fetch_pos;
-      entropy_ops->decode_segment(
+      huffman_decode_segment(
           entropy_state,
           entropy_state.payload.subspan(seg.byte_off, seg.n_bytes),
           offs + rel, dst + rel, seg.n_syms);

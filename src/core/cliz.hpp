@@ -9,7 +9,6 @@
 #include "src/core/mask.hpp"
 #include "src/core/pipeline.hpp"
 #include "src/core/stage_stats.hpp"
-#include "src/entropy/backend.hpp"
 #include "src/lossless/lossless.hpp"
 #include "src/ndarray/ndarray.hpp"
 #include "src/predictor/backend.hpp"
@@ -17,6 +16,12 @@
 namespace cliz {
 
 class CodecContext;
+
+/// Entropy-stage coder. Canonical multi-Huffman is the only one; the
+/// stream's entropy byte always records wire id 0 (see docs/FORMAT.md).
+enum class EntropyBackend : std::uint8_t {
+  kHuffman = 0,
+};
 
 /// Options orthogonal to the tuned pipeline.
 struct ClizOptions {
@@ -34,11 +39,8 @@ struct ClizOptions {
   /// Whatever the backend predicts, the linear quantizer still guarantees
   /// the error bound — a poor fit only costs ratio.
   PredictorBackend predictor = PredictorBackend::kInterp;
-  /// Entropy-stage backend for the quant-code stream. Recorded in the
-  /// stream's entropy byte, so any reader decodes any choice; the defaults
-  /// reproduce the golden corpus byte-for-byte. When the requested backend
-  /// cannot represent a stream (tANS with an alphabet past 2^15 symbols)
-  /// the encoder falls back to Huffman and notes it in StageStats.
+  /// Entropy-stage coder. Multi-Huffman is the only value and the encoder
+  /// does not read this field; it stays for source compatibility.
   EntropyBackend entropy = EntropyBackend::kHuffman;
   /// Lossless-stage backend wrapping the assembled stream (recorded by the
   /// lossless frame's mode byte).

@@ -11,7 +11,6 @@
 #include "src/core/pipeline.hpp"
 #include "src/core/stage_backends.hpp"
 #include "src/core/stage_stats.hpp"
-#include "src/entropy/tans.hpp"
 #include "src/huffman/huffman.hpp"
 #include "src/lossless/lossless.hpp"
 #include "src/predictor/interp_engine.hpp"
@@ -88,10 +87,6 @@ class CodecContext {
   std::vector<std::unordered_map<std::uint32_t, std::uint64_t>> freq;
   /// Huffman codecs, rebuilt in place each run (capacity retained).
   std::vector<HuffmanCodec> trees;
-  /// tANS codecs (EntropyBackend::kTans), rebuilt in place each run.
-  std::vector<TansCodec> tans;
-  /// Reverse-encode renormalization stack for the tANS backend.
-  std::vector<std::uint32_t> tans_stack;
   ByteWriter tree_bytes;  ///< staging for one serialized tree
   BitWriter bits;         ///< entropy-coded payload staging
 
@@ -170,11 +165,6 @@ class CodecContext {
   /// internal storage for in-place rebuilds).
   void reserve_trees(std::size_t n) {
     if (trees.size() < n) trees.resize(n);
-  }
-
-  /// Same for the tANS codecs.
-  void reserve_tans(std::size_t n) {
-    if (tans.size() < n) tans.resize(n);
   }
 
  private:

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <iterator>
 #include <span>
-#include <unordered_map>
 
 #include "src/common/status.hpp"
 #include "src/core/codec_context.hpp"
-#include "src/entropy/tans.hpp"
 #include "src/predictor/interp_engine.hpp"
 #include "src/predictor/lorenzo_nd.hpp"
 #include "src/predictor/regression.hpp"
@@ -16,25 +14,11 @@ namespace cliz {
 
 namespace {
 
-std::size_t census_alphabet(
-    const std::unordered_map<std::uint32_t, std::uint64_t>& freq) {
-  std::size_t n = 0;
-  for (const auto& [sym, f] : freq) {
-    if (f != 0) ++n;  // zeroed nodes kept alive by reset_freq
-  }
-  return n;
-}
+// --- entropy stage (multi-Huffman) -----------------------------------------
+// The serial and framed layouts share these pieces, so the framed tables are
+// byte-identical to the serial prefix.
 
-// --- Huffman (id 0) --------------------------------------------------------
-// Byte-identical to the pre-registry direct calls: same table order, same
-// per-symbol encode calls, same block framing. The serial hooks are built
-// from the segment-restartable pieces — a Huffman payload is byte-aligned
-// and stateless between symbols, so a "segment" is just a symbol range.
-
-bool huffman_encodable(const CodecContext&, std::size_t) { return true; }
-
-void huffman_encode_tables(std::size_t n_groups, CodecContext& ctx,
-                           ByteWriter& out) {
+void encode_tables(std::size_t n_groups, CodecContext& ctx, ByteWriter& out) {
   ctx.reserve_trees(n_groups);
   for (std::size_t g = 0; g < n_groups; ++g) {
     ctx.trees[g].rebuild_from_frequencies(ctx.freq[g]);
@@ -44,8 +28,9 @@ void huffman_encode_tables(std::size_t n_groups, CodecContext& ctx,
   }
 }
 
-void huffman_encode_segment(bool classified, std::size_t lo, std::size_t hi,
-                            CodecContext& ctx) {
+// Symbols [lo, hi) of the stream, appended to ctx.bits.
+void encode_symbols(bool classified, std::size_t lo, std::size_t hi,
+                    CodecContext& ctx) {
   if (classified) {
     for (std::size_t i = lo; i < hi; ++i) {
       ctx.trees[ctx.group[i]].encode(
@@ -58,17 +43,8 @@ void huffman_encode_segment(bool classified, std::size_t lo, std::size_t hi,
   }
 }
 
-void huffman_encode(bool classified, std::size_t n_groups, CodecContext& ctx,
-                    ByteWriter& out) {
-  huffman_encode_tables(n_groups, ctx, out);
-  ctx.bits.reset();
-  huffman_encode_segment(
-      classified, 0, classified ? ctx.shifted.size() : ctx.codes.size(), ctx);
-  out.put_block(ctx.bits.finish_view());
-}
-
-void huffman_parse_tables(ByteReader& in, std::size_t n_tables,
-                          EntropyDecodeState& state) {
+void parse_tables(ByteReader& in, std::size_t n_tables,
+                  EntropyDecodeState& state) {
   CodecContext& ctx = *state.ctx;
   ctx.reserve_trees(n_tables);
   for (std::size_t g = 0; g < n_tables; ++g) {
@@ -77,18 +53,12 @@ void huffman_parse_tables(ByteReader& in, std::size_t n_tables,
   }
 }
 
-void huffman_parse(ByteReader& in, std::size_t n_tables,
-                   EntropyDecodeState& state) {
-  huffman_parse_tables(in, n_tables, state);
-  state.bits.emplace(in.get_block());
-}
-
-void huffman_decode_segment(const EntropyDecodeState& state,
-                            std::span<const std::uint8_t> payload,
-                            const std::uint64_t* offs, std::uint32_t* dst,
-                            std::size_t n) {
+// The next `n` symbols from `bits`; the serial fetch passes the stream's
+// shared reader, a framed segment a private one over its payload slice.
+void decode_symbols(const EntropyDecodeState& state, BitReader& bits,
+                    const std::uint64_t* offs, std::uint32_t* dst,
+                    std::size_t n) {
   const CodecContext& ctx = *state.ctx;
-  BitReader bits(payload);
   if (state.classification == nullptr) {
     ctx.trees[0].decode_batch(bits, dst, n);
     return;
@@ -109,197 +79,6 @@ void huffman_decode_segment(const EntropyDecodeState& state,
         static_cast<std::int64_t>(cls.params().j));
   }
 }
-
-void huffman_fetch(EntropyDecodeState& state, const std::uint64_t* offs,
-                   std::uint32_t* dst, std::size_t n) {
-  CodecContext& ctx = *state.ctx;
-  if (state.classification == nullptr) {
-    ctx.trees[0].decode_batch(*state.bits, dst, n);
-    return;
-  }
-  const BinClassification& cls = *state.classification;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t col =
-        static_cast<std::size_t>(offs[i]) % state.plane;
-    const HuffmanCodec& tree = ctx.trees[cls.group_of(col)];
-    const std::uint32_t sym = tree.decode_one(*state.bits);
-    if (sym == state.escape) {
-      dst[i] = 0;
-      continue;
-    }
-    const int shift = cls.shift_of(col);
-    dst[i] = static_cast<std::uint32_t>(
-        static_cast<std::int64_t>(sym) + shift -
-        static_cast<std::int64_t>(cls.params().j));
-  }
-}
-
-// --- tANS (id 1) -----------------------------------------------------------
-// Stream layout after the classification block:
-//   u8 table_log                  (shared by every group's table)
-//   n_tables x block              (normalized count tables)
-//   block payload: [final encoder state: table_log bits][refill bits...]
-// One interleaved state walks all groups (ANS is LIFO: encode runs in
-// reverse, so the decoder reads the stream strictly forward).
-
-bool tans_encodable(const CodecContext& ctx, std::size_t n_groups) {
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    if (census_alphabet(ctx.freq[g]) >
-        (std::size_t{1} << TansCodec::kMaxTableLog)) {
-      return false;
-    }
-  }
-  return true;
-}
-
-void tans_encode_tables(std::size_t n_groups, CodecContext& ctx,
-                        ByteWriter& out) {
-  std::size_t max_alphabet = 0;
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    max_alphabet = std::max(max_alphabet, census_alphabet(ctx.freq[g]));
-  }
-  const unsigned table_log = TansCodec::pick_table_log(max_alphabet);
-
-  ctx.reserve_tans(n_groups);
-  out.put_u8(static_cast<std::uint8_t>(table_log));
-  for (std::size_t g = 0; g < n_groups; ++g) {
-    const bool ok = ctx.tans[g].rebuild_from_frequencies(ctx.freq[g],
-                                                         table_log);
-    CLIZ_REQUIRE(ok, "tANS alphabet exceeds the table");
-    ctx.tree_bytes.clear();
-    ctx.tans[g].serialize(ctx.tree_bytes);
-    out.put_block(ctx.tree_bytes.bytes());
-  }
-}
-
-// One self-contained segment: [final state - L in table_log bits][refill
-// bits], the serial payload layout restarted at `lo`. Encoding still runs
-// in reverse, but only within the segment, so segments decode forward
-// independently of each other.
-void tans_encode_segment(bool classified, std::size_t lo, std::size_t hi,
-                         CodecContext& ctx) {
-  const unsigned table_log = ctx.tans[0].table_log();
-  auto& stack = ctx.tans_stack;
-  stack.clear();
-  std::uint32_t state = 1u << table_log;
-  if (classified) {
-    for (std::size_t i = hi; i-- > lo;) {
-      ctx.tans[ctx.group[i]].encode_symbol(ctx.shifted[i], state, stack);
-    }
-  } else {
-    for (std::size_t i = hi; i-- > lo;) {
-      ctx.tans[0].encode_symbol(ctx.codes[i], state, stack);
-    }
-  }
-  ctx.bits.put_bits(state - (1u << table_log), static_cast<int>(table_log));
-  for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-    ctx.bits.put_bits(*it & 0xFFFFu, static_cast<int>(*it >> 16));
-  }
-}
-
-void tans_encode(bool classified, std::size_t n_groups, CodecContext& ctx,
-                 ByteWriter& out) {
-  tans_encode_tables(n_groups, ctx, out);
-  ctx.bits.reset();
-  tans_encode_segment(
-      classified, 0, classified ? ctx.shifted.size() : ctx.codes.size(), ctx);
-  out.put_block(ctx.bits.finish_view());
-}
-
-void tans_parse_tables(ByteReader& in, std::size_t n_tables,
-                       EntropyDecodeState& state) {
-  CodecContext& ctx = *state.ctx;
-  const unsigned table_log = in.get_u8();
-  CLIZ_REQUIRE(table_log >= TansCodec::kMinTableLog &&
-                   table_log <= TansCodec::kMaxTableLog,
-               "corrupt tANS table log");
-  ctx.reserve_tans(n_tables);
-  for (std::size_t g = 0; g < n_tables; ++g) {
-    ByteReader table_reader(in.get_block());
-    ctx.tans[g].parse(table_reader, table_log);
-  }
-  state.table_log = table_log;
-}
-
-void tans_parse(ByteReader& in, std::size_t n_tables,
-                EntropyDecodeState& state) {
-  tans_parse_tables(in, n_tables, state);
-  state.bits.emplace(in.get_block());
-  state.tans_state =
-      (1u << state.table_log) +
-      static_cast<std::uint32_t>(state.bits->get_bits(
-          static_cast<int>(state.table_log)));
-}
-
-void tans_decode_segment(const EntropyDecodeState& state,
-                         std::span<const std::uint8_t> payload,
-                         const std::uint64_t* offs, std::uint32_t* dst,
-                         std::size_t n) {
-  const CodecContext& ctx = *state.ctx;
-  BitReader bits(payload);
-  std::uint32_t walk =
-      (1u << state.table_log) +
-      static_cast<std::uint32_t>(
-          bits.get_bits(static_cast<int>(state.table_log)));
-  if (state.classification == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[i] = ctx.tans[0].decode_symbol(walk, bits);
-    }
-    return;
-  }
-  const BinClassification& cls = *state.classification;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t col =
-        static_cast<std::size_t>(offs[i]) % state.plane;
-    const TansCodec& codec = ctx.tans[cls.group_of(col)];
-    const std::uint32_t sym = codec.decode_symbol(walk, bits);
-    if (sym == state.escape) {
-      dst[i] = 0;
-      continue;
-    }
-    const int shift = cls.shift_of(col);
-    dst[i] = static_cast<std::uint32_t>(
-        static_cast<std::int64_t>(sym) + shift -
-        static_cast<std::int64_t>(cls.params().j));
-  }
-}
-
-void tans_fetch(EntropyDecodeState& state, const std::uint64_t* offs,
-                std::uint32_t* dst, std::size_t n) {
-  CodecContext& ctx = *state.ctx;
-  if (state.classification == nullptr) {
-    for (std::size_t i = 0; i < n; ++i) {
-      dst[i] = ctx.tans[0].decode_symbol(state.tans_state, *state.bits);
-    }
-    return;
-  }
-  const BinClassification& cls = *state.classification;
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t col =
-        static_cast<std::size_t>(offs[i]) % state.plane;
-    const TansCodec& codec = ctx.tans[cls.group_of(col)];
-    const std::uint32_t sym =
-        codec.decode_symbol(state.tans_state, *state.bits);
-    if (sym == state.escape) {
-      dst[i] = 0;
-      continue;
-    }
-    const int shift = cls.shift_of(col);
-    dst[i] = static_cast<std::uint32_t>(
-        static_cast<std::int64_t>(sym) + shift -
-        static_cast<std::int64_t>(cls.params().j));
-  }
-}
-
-// Dense by wire id: kOps[id] is the backend the entropy byte names.
-const EntropyBackendOps kOps[] = {
-    {EntropyBackend::kHuffman, "huffman", huffman_encodable, huffman_encode,
-     huffman_parse, huffman_fetch, huffman_encode_tables,
-     huffman_encode_segment, huffman_parse_tables, huffman_decode_segment},
-    {EntropyBackend::kTans, "tans", tans_encodable, tans_encode, tans_parse,
-     tans_fetch, tans_encode_tables, tans_encode_segment, tans_parse_tables,
-     tans_decode_segment},
-};
 
 // --- framed container (entropy byte bit 7) ---------------------------------
 
@@ -457,21 +236,36 @@ const PredictorBackendOps kPredictorOps[] = {
 
 }  // namespace
 
-const EntropyBackendOps* find_entropy_backend(std::uint8_t id) {
-  if (id >= std::size(kOps)) return nullptr;
-  return &kOps[id];
+void huffman_encode(bool classified, std::size_t n_groups, CodecContext& ctx,
+                    ByteWriter& out) {
+  encode_tables(n_groups, ctx, out);
+  ctx.bits.reset();
+  encode_symbols(classified, 0,
+                 classified ? ctx.shifted.size() : ctx.codes.size(), ctx);
+  out.put_block(ctx.bits.finish_view());
 }
 
-const EntropyBackendOps& entropy_backend_ops(EntropyBackend backend) {
-  const EntropyBackendOps* ops =
-      find_entropy_backend(static_cast<std::uint8_t>(backend));
-  CLIZ_REQUIRE(ops != nullptr, "unregistered entropy backend");
-  return *ops;
+void huffman_parse(ByteReader& in, std::size_t n_tables,
+                   EntropyDecodeState& state) {
+  parse_tables(in, n_tables, state);
+  state.bits.emplace(in.get_block());
 }
 
-void framed_entropy_encode(const EntropyBackendOps& ops, bool classified,
-                           std::size_t n_groups, CodecContext& ctx,
-                           ByteWriter& out) {
+void huffman_fetch(EntropyDecodeState& state, const std::uint64_t* offs,
+                   std::uint32_t* dst, std::size_t n) {
+  decode_symbols(state, *state.bits, offs, dst, n);
+}
+
+void huffman_decode_segment(const EntropyDecodeState& state,
+                            std::span<const std::uint8_t> payload,
+                            const std::uint64_t* offs, std::uint32_t* dst,
+                            std::size_t n) {
+  BitReader bits(payload);
+  decode_symbols(state, bits, offs, dst, n);
+}
+
+void framed_entropy_encode(bool classified, std::size_t n_groups,
+                           CodecContext& ctx, ByteWriter& out) {
   const std::size_t n_syms =
       classified ? ctx.shifted.size() : ctx.codes.size();
 
@@ -497,15 +291,14 @@ void framed_entropy_encode(const EntropyBackendOps& ops, bool classified,
   // Tables are staged: the container's segment table precedes them in the
   // stream, but the segment byte lengths are only known after encoding.
   ctx.frame_tables.clear();
-  ops.encode_tables(n_groups, ctx, ctx.frame_tables);
+  encode_tables(n_groups, ctx, ctx.frame_tables);
 
   auto& payload = ctx.frame_payload;
   payload.clear();
   for (auto& seg : segs) {
     seg.byte_off = payload.size();
     ctx.bits.reset();
-    ops.encode_segment(classified, seg.sym_base, seg.sym_base + seg.n_syms,
-                       ctx);
+    encode_symbols(classified, seg.sym_base, seg.sym_base + seg.n_syms, ctx);
     const auto bytes = ctx.bits.finish_view();
     payload.insert(payload.end(), bytes.begin(), bytes.end());
     seg.n_bytes = payload.size() - seg.byte_off;
@@ -522,9 +315,8 @@ void framed_entropy_encode(const EntropyBackendOps& ops, bool classified,
   ctx.stats.frame_segments = segs.size();
 }
 
-void framed_entropy_parse(const EntropyBackendOps& ops, ByteReader& in,
-                          std::size_t n_tables, std::size_t n_codes,
-                          EntropyDecodeState& state) {
+void framed_entropy_parse(ByteReader& in, std::size_t n_tables,
+                          std::size_t n_codes, EntropyDecodeState& state) {
   CodecContext& ctx = *state.ctx;
   CLIZ_REQUIRE(in.get_u8() == kFramingLayoutId,
                "unknown entropy framing layout");
@@ -558,7 +350,7 @@ void framed_entropy_parse(const EntropyBackendOps& ops, ByteReader& in,
     byte_off += static_cast<std::size_t>(nbyte);
   }
   CLIZ_REQUIRE(sym_base == n_codes, "framing segment bounds out of range");
-  ops.parse_tables(in, n_tables, state);
+  parse_tables(in, n_tables, state);
   state.payload = in.get_block();
   // The per-segment lengths must tile the payload exactly; anything else
   // (truncated table, overlapping or dangling slices) is corruption.

@@ -9,7 +9,6 @@
 #include "src/common/bytestream.hpp"
 #include "src/core/bin_classify.hpp"
 #include "src/core/pipeline.hpp"
-#include "src/entropy/backend.hpp"
 #include "src/lossless/lossless.hpp"
 #include "src/ndarray/shape.hpp"
 #include "src/predictor/backend.hpp"
@@ -21,8 +20,7 @@ class CodecContext;
 
 /// In classified mode, shifted symbols (biased by +j) occupy
 /// [1, 2*radius-1+2j]; the outlier escape is remapped above that range so a
-/// shift can never collide with it. Shared by every entropy backend — the
-/// bin-classification layer is backend-independent.
+/// shift can never collide with it.
 inline std::uint32_t entropy_escape_symbol(std::uint32_t radius, unsigned j) {
   return 2 * radius + 2 * j + 2;
 }
@@ -41,9 +39,8 @@ struct FramedSegment {
 };
 
 /// Decode-side state of one entropy stream, shared across fetch calls. The
-/// classification fields are filled by the caller (the classification block
-/// itself is backend-independent); `bits` and any backend-private state are
-/// set up by the backend's parse hook.
+/// classification fields are filled by the caller; `bits` is set up by
+/// huffman_parse.
 struct EntropyDecodeState {
   CodecContext* ctx = nullptr;
   std::optional<BitReader> bits;
@@ -51,92 +48,62 @@ struct EntropyDecodeState {
   const BinClassification* classification = nullptr;
   std::size_t plane = 0;       ///< classification column period
   std::uint32_t escape = 0;    ///< outlier escape symbol
-  std::uint32_t tans_state = 0;  ///< tANS walking state in [L, 2L)
   // --- framed container only (entropy byte bit 7) ---
   /// Parsed segment table (backed by ctx.frame_segments).
   std::span<const FramedSegment> segments;
   /// The concatenated per-segment payload block.
   std::span<const std::uint8_t> payload;
-  /// tANS table log, needed to restart the walking state per segment.
-  unsigned table_log = 0;
 };
 
-/// One entry of the entropy-stage backend registry. Backends are plain
-/// function tables (no virtual dispatch, no per-call allocation — scratch
-/// lives in the CodecContext) keyed by the wire id the stream's entropy
-/// byte records. The encode/parse hooks own everything after the
-/// classification block: table serialization and the code payload.
-struct EntropyBackendOps {
-  EntropyBackend id;
-  const char* name;
-  /// True when the stage-3 census in ctx.freq can be represented by this
-  /// backend. When false the encoder falls back to Huffman (always
-  /// encodable) and patches the stream's entropy byte.
-  bool (*encodable)(const CodecContext& ctx, std::size_t n_groups);
-  /// Serializes the per-group coding tables and the symbol payload
-  /// (ctx.shifted/ctx.group when classified, ctx.codes otherwise).
-  void (*encode)(bool classified, std::size_t n_groups, CodecContext& ctx,
-                 ByteWriter& out);
-  /// Parses the tables + payload framing written by encode and positions
-  /// `state` for fetches.
-  void (*parse)(ByteReader& in, std::size_t n_tables,
-                EntropyDecodeState& state);
-  /// Decodes `n` symbols into `dst`; in classified mode `offs` locates each
-  /// point's column for group/shift resolution.
-  void (*fetch)(EntropyDecodeState& state, const std::uint64_t* offs,
-                std::uint32_t* dst, std::size_t n);
-  // --- framed container hooks (ClizOptions::frame_passes) ---
-  /// Builds the per-group codecs from the stage-3 censuses and serializes
-  /// the coding tables — the exact byte sequence the serial encode hook
-  /// writes ahead of its payload.
-  void (*encode_tables)(std::size_t n_groups, CodecContext& ctx,
-                        ByteWriter& out);
-  /// Encodes symbols [lo, hi) of the stream into ctx.bits as one
-  /// self-contained segment (tANS restarts its state). The caller resets
-  /// ctx.bits first and byte-aligns/appends the result.
-  void (*encode_segment)(bool classified, std::size_t lo, std::size_t hi,
-                         CodecContext& ctx);
-  /// Parses the table prefix written by encode_tables (no payload framing).
-  void (*parse_tables)(ByteReader& in, std::size_t n_tables,
-                       EntropyDecodeState& state);
-  /// Decodes one whole segment from its payload slice. Thread-safe: reads
-  /// `state` and the context's codecs const-only, with a private bit reader
-  /// (and tANS walking state) per call — segments decode concurrently.
-  void (*decode_segment)(const EntropyDecodeState& state,
-                         std::span<const std::uint8_t> payload,
-                         const std::uint64_t* offs, std::uint32_t* dst,
-                         std::size_t n);
-};
+// --- entropy stage: canonical multi-Huffman --------------------------------
+// The coding tables (one per classification group, or the single table in
+// unclassified mode) are rebuilt in place from the stage-3 censuses in
+// ctx.freq into ctx.trees. A Huffman payload is byte-aligned and stateless
+// between symbols, so a framed segment is just a symbol range.
 
-/// Registry lookup by the stream's stored id; nullptr for unknown ids (the
-/// decoder turns that into a clean cliz::Error, never UB).
-[[nodiscard]] const EntropyBackendOps* find_entropy_backend(std::uint8_t id);
+/// Serializes the per-group trees and the symbol payload (ctx.shifted /
+/// ctx.group when classified, ctx.codes otherwise).
+void huffman_encode(bool classified, std::size_t n_groups, CodecContext& ctx,
+                    ByteWriter& out);
+
+/// Parses the trees + payload block written by huffman_encode and positions
+/// `state.bits` for fetches.
+void huffman_parse(ByteReader& in, std::size_t n_tables,
+                   EntropyDecodeState& state);
+
+/// Decodes the next `n` symbols of the serial payload into `dst`; in
+/// classified mode `offs` locates each point's column for group/shift
+/// resolution.
+void huffman_fetch(EntropyDecodeState& state, const std::uint64_t* offs,
+                   std::uint32_t* dst, std::size_t n);
+
+/// Decodes one whole framed segment from its payload slice. Thread-safe:
+/// reads `state` and the context's trees const-only, with a private bit
+/// reader per call, so segments decode concurrently.
+void huffman_decode_segment(const EntropyDecodeState& state,
+                            std::span<const std::uint8_t> payload,
+                            const std::uint64_t* offs, std::uint32_t* dst,
+                            std::size_t n);
 
 /// Framed entropy container (selected by bit 7 of the entropy byte),
-/// written in place of the backend's serial tables + payload:
+/// written in place of the serial trees + payload:
 ///   u8 layout id (currently 1)
 ///   varint n_segments
 ///   n_segments x (varint n_syms, varint n_bytes)
-///   coding tables (encode_tables — byte-identical to serial mode's prefix)
+///   coding tables (byte-identical to serial mode's prefix)
 ///   block: concatenated byte-aligned per-segment payloads
 /// Segments are sub-splits of ctx.fetch_marks (the decode-fetch intervals
 /// the predictor encode recorded), so the decoder can hand whole segments
 /// to parallel workers inside each fetch. Sets ctx.stats.frame_segments.
-void framed_entropy_encode(const EntropyBackendOps& ops, bool classified,
-                           std::size_t n_groups, CodecContext& ctx,
-                           ByteWriter& out);
+void framed_entropy_encode(bool classified, std::size_t n_groups,
+                           CodecContext& ctx, ByteWriter& out);
 
 /// Parses and validates the framed container written by
 /// framed_entropy_encode: unknown layout ids, segment counts/bounds that do
 /// not tile [0, n_codes), and payload-size mismatches are all clean
-/// cliz::Errors. Fills state.segments/payload (and the tANS table log).
-void framed_entropy_parse(const EntropyBackendOps& ops, ByteReader& in,
-                          std::size_t n_tables, std::size_t n_codes,
-                          EntropyDecodeState& state);
-
-/// Lookup by enum for encode-side callers; throws on an unregistered value.
-[[nodiscard]] const EntropyBackendOps& entropy_backend_ops(
-    EntropyBackend backend);
+/// cliz::Errors. Fills state.segments/payload.
+void framed_entropy_parse(ByteReader& in, std::size_t n_tables,
+                          std::size_t n_codes, EntropyDecodeState& state);
 
 /// Type-erased symbol source handed to the predictor decode hooks (plain
 /// function pointer + state, matching the registry's no-virtuals shape).
@@ -154,8 +121,9 @@ struct PredictorFetch {
 };
 
 /// One entry of the predictor-stage backend registry, keyed by the wire id
-/// in the high bits of the stream's predictor byte. Same design as the
-/// entropy table: plain function pointers, scratch in the CodecContext.
+/// in the high bits of the stream's predictor byte: plain function pointers
+/// (no virtual dispatch, no per-call allocation), scratch in the
+/// CodecContext.
 ///
 /// The encode hook owns the stage's backend side block (written before the
 /// generic outlier stream): the interpolation backend's pass-fit table, the

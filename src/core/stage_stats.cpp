@@ -3,6 +3,8 @@
 #include <cstdio>
 
 #include "src/common/cpu_features.hpp"
+#include "src/lossless/lossless.hpp"
+#include "src/predictor/backend.hpp"
 
 namespace cliz {
 
@@ -39,9 +41,7 @@ void StageStats::accumulate(const StageStats& other) {
   simd_tier = simd_tier > other.simd_tier ? simd_tier : other.simd_tier;
   // Entropy does not sum; keep the outermost (residual) stream's value.
   if (code_entropy_bits == 0.0) code_entropy_bits = other.code_entropy_bits;
-  // Backend ids describe the outermost stream and are not merged; a
-  // fallback anywhere in the recursion is still worth surfacing.
-  entropy_downgraded = entropy_downgraded || other.entropy_downgraded;
+  // Backend ids describe the outermost stream and are not merged.
   frame_passes = frame_passes || other.frame_passes;
   frame_segments += other.frame_segments;
   chunks_requested += other.chunks_requested;
@@ -50,44 +50,6 @@ void StageStats::accumulate(const StageStats& other) {
   tile_cache_misses += other.tile_cache_misses;
   tile_cache_evictions += other.tile_cache_evictions;
 }
-
-namespace {
-
-const char* predictor_backend_label(std::uint8_t id) {
-  switch (id) {
-    case 0:
-      return "interp";
-    case 1:
-      return "lorenzo1";
-    case 2:
-      return "lorenzo2";
-    case 3:
-      return "regression";
-  }
-  return "unknown";
-}
-
-const char* entropy_backend_label(std::uint8_t id) {
-  switch (id) {
-    case 0:
-      return "huffman";
-    case 1:
-      return "tans";
-  }
-  return "unknown";
-}
-
-const char* lossless_backend_label(std::uint8_t id) {
-  switch (id) {
-    case 0:
-      return "lz";
-    case 1:
-      return "store";
-  }
-  return "unknown";
-}
-
-}  // namespace
 
 std::string StageStats::to_text() const {
   char buf[256];
@@ -110,11 +72,11 @@ std::string StageStats::to_text() const {
                 total_seconds * 1e3, threads_used);
   out += buf;
   std::snprintf(buf, sizeof(buf),
-                "backends: predictor=%s entropy=%s%s lossless=%s simd=%s\n",
-                predictor_backend_label(predictor_backend),
-                entropy_backend_label(entropy_backend),
-                entropy_downgraded ? " (downgraded)" : "",
-                lossless_backend_label(lossless_backend),
+                "backends: predictor=%s lossless=%s simd=%s\n",
+                predictor_backend_name(
+                    static_cast<PredictorBackend>(predictor_backend)),
+                lossless_backend_name(
+                    static_cast<LosslessBackend>(lossless_backend)),
                 simd_tier_name(static_cast<SimdTier>(simd_tier)));
   out += buf;
   if (frame_passes) {
@@ -161,9 +123,8 @@ std::string StageStats::to_json() const {
                 "\"outlier_count\":%zu,\"total_seconds\":%.6f,"
                 "\"verified\":%s,\"verify_downgrades\":%zu,"
                 "\"verify_seconds\":%.6f,\"threads_used\":%d,"
-                "\"predictor_backend\":\"%s\","
-                "\"entropy_backend\":\"%s\",\"lossless_backend\":\"%s\","
-                "\"entropy_downgraded\":%s,\"frame_passes\":%s,"
+                "\"predictor_backend\":\"%s\",\"lossless_backend\":\"%s\","
+                "\"frame_passes\":%s,"
                 "\"frame_segments\":%zu,\"chunks_requested\":%zu,"
                 "\"chunks_effective\":%zu,\"tile_cache_hits\":%zu,"
                 "\"tile_cache_misses\":%zu,\"tile_cache_evictions\":%zu,"
@@ -171,10 +132,10 @@ std::string StageStats::to_json() const {
                 code_entropy_bits, code_count, outlier_count, total_seconds,
                 verified ? "true" : "false", verify_downgrades,
                 verify_seconds, threads_used,
-                predictor_backend_label(predictor_backend),
-                entropy_backend_label(entropy_backend),
-                lossless_backend_label(lossless_backend),
-                entropy_downgraded ? "true" : "false",
+                predictor_backend_name(
+                    static_cast<PredictorBackend>(predictor_backend)),
+                lossless_backend_name(
+                    static_cast<LosslessBackend>(lossless_backend)),
                 frame_passes ? "true" : "false", frame_segments,
                 chunks_requested, chunks_effective, tile_cache_hits,
                 tile_cache_misses, tile_cache_evictions,

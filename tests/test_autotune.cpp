@@ -2,11 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "src/climate/datasets.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
+#include "src/core/cliz.hpp"
 #include "src/metrics/metrics.hpp"
 
 namespace cliz {
@@ -198,6 +201,44 @@ TEST(Autotune, LowerSamplingRateIsFaster) {
   const auto r_fine = autotune(field.data, 1e-3, field.mask_ptr(), fine);
   EXPECT_LT(r_coarse.tuning_seconds, r_fine.tuning_seconds);
   EXPECT_LT(r_coarse.sample_points, r_fine.sample_points);
+}
+
+TEST(Autotune, CesmTBackendPickWithinOnePercentOfBestForcedBackend) {
+  // Tuner regret on the backend axis, measured on the full field: the
+  // stream the tuned options produce (adopted the way `clizc compress`
+  // adopts them) must be within 1% of the smaller of the two forced
+  // lossless backends on the tuned pipeline and predictor.
+  const ClimateField field = make_dataset("CESM-T");
+  const double eb =
+      abs_bound_from_relative(field.data.flat(), 1e-3, field.mask_ptr());
+  AutotuneOptions opts;  // default 1% sampling rate, all axes on
+  opts.time_dim = field.time_dim;
+  const auto tuned = autotune(field.data, eb, field.mask_ptr(), opts);
+
+  ClizOptions adopted;
+  adopted.predictor = tuned.best_predictor;
+  adopted.entropy = tuned.best_entropy;
+  adopted.lossless = tuned.best_lossless;
+  adopted.frame_passes = tuned.best_frame_passes;
+  const auto size_with = [&](const ClizOptions& o) {
+    return ClizCompressor(tuned.best, o)
+        .compress(field.data, eb, field.mask_ptr())
+        .size();
+  };
+  std::size_t best_forced = SIZE_MAX;
+  for (const LosslessBackend lossless :
+       {LosslessBackend::kLz, LosslessBackend::kStore}) {
+    ClizOptions forced;
+    forced.predictor = tuned.best_predictor;
+    forced.lossless = lossless;
+    forced.frame_passes = tuned.best_frame_passes;
+    best_forced = std::min(best_forced, size_with(forced));
+  }
+  const std::size_t tuned_size = size_with(adopted);
+  EXPECT_LE(static_cast<double>(tuned_size),
+            1.01 * static_cast<double>(best_forced))
+      << "tuned " << tuned_size << " B vs best forced " << best_forced
+      << " B (" << tuned.to_json() << ")";
 }
 
 }  // namespace

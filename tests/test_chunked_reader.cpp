@@ -242,25 +242,19 @@ TEST(ChunkedReaderProperty, AllBackendCombinationsServeRegions) {
   for (const auto predictor :
        {PredictorBackend::kInterp, PredictorBackend::kLorenzo1,
         PredictorBackend::kLorenzo2, PredictorBackend::kRegression}) {
-    for (const auto entropy :
-         {EntropyBackend::kHuffman, EntropyBackend::kTans}) {
-      for (const auto lossless :
-           {LosslessBackend::kLz, LosslessBackend::kStore}) {
-        ClizOptions codec;
-        codec.predictor = predictor;
-        codec.entropy = entropy;
-        codec.lossless = lossless;
-        SCOPED_TRACE(::testing::Message()
-                     << "predictor=" << static_cast<int>(predictor)
-                     << " entropy=" << static_cast<int>(entropy)
-                     << " lossless=" << static_cast<int>(lossless));
-        check_region_equivalence<float>(
-            tiled_frame(data, {7, 5, 6}, codec),
-            101 + static_cast<std::uint64_t>(predictor) * 4 +
-                static_cast<std::uint64_t>(entropy) * 2 +
-                static_cast<std::uint64_t>(lossless),
-            2);
-      }
+    for (const auto lossless :
+         {LosslessBackend::kLz, LosslessBackend::kStore}) {
+      ClizOptions codec;
+      codec.predictor = predictor;
+      codec.lossless = lossless;
+      SCOPED_TRACE(::testing::Message()
+                   << "predictor=" << static_cast<int>(predictor)
+                   << " lossless=" << static_cast<int>(lossless));
+      check_region_equivalence<float>(
+          tiled_frame(data, {7, 5, 6}, codec),
+          101 + static_cast<std::uint64_t>(predictor) * 4 +
+              static_cast<std::uint64_t>(lossless),
+          2);
     }
   }
 }

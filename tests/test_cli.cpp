@@ -20,6 +20,9 @@
 #ifndef CLIZC_PATH
 #error "CLIZC_PATH must be defined by the build system"
 #endif
+#ifndef CLIZ_GOLDEN_DIR
+#error "CLIZ_GOLDEN_DIR must be defined by the build system"
+#endif
 
 namespace cliz {
 namespace {
@@ -396,6 +399,33 @@ TEST_F(CliTest, BadInvocationsFailCleanly) {
   // Wrong dims for the file size must be rejected.
   ASSERT_EQ(run("gen Hurricane-T --scale 0.08 -o " + path("h.f32")), 0);
   EXPECT_NE(run("compress " + path("h.f32") + " -d 3,3 -o " + path("x")), 0);
+  // Huffman is the only entropy coder; the flag that picked one is gone.
+  EXPECT_EQ(run_exit("compress " + path("h.f32") + " -d 24,48,48 -o " +
+                     path("x") + " -r 1e-3 --entropy huffman"),
+            2);
+}
+
+TEST_F(CliTest, RetiredTansStreamsExitUnsupported) {
+  // Frozen streams of the retired tANS entropy coder: a plain stream and a
+  // tiled CLK3 frame. Both decode paths must exit 8 (Unsupported) with a
+  // message naming tANS, and write no output file.
+  for (const char* fixture : {"tans_plain.cliz", "tans_tiled.clks"}) {
+    SCOPED_TRACE(fixture);
+    const std::string out = path("t.f32");
+    const std::string err = path("t.err");
+    const std::string cmd = std::string(CLIZC_PATH) + " decompress " +
+                            CLIZ_GOLDEN_DIR + "/" + fixture + " -o " + out +
+                            " >/dev/null 2>" + err;
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), 8);
+    std::ifstream in(err);
+    const std::string message{std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>()};
+    EXPECT_NE(message.find("[Unsupported]"), std::string::npos) << message;
+    EXPECT_NE(message.find("tANS"), std::string::npos) << message;
+    EXPECT_FALSE(fs::exists(out));
+  }
 }
 
 }  // namespace

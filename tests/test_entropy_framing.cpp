@@ -1,8 +1,7 @@
 // Per-pass entropy framing tests: the framed container (entropy byte bit 7)
-// must round-trip every golden-corpus generator for both entropy backends,
-// produce byte-identical streams at any thread count, decode to exactly the
-// serial reconstruction, and reject truncated or corrupted offset tables as
-// clean cliz::Error. The serial (default) layout stays locked byte-exactly
+// must round-trip every golden-corpus generator, produce byte-identical
+// streams at any thread count, decode to exactly the serial reconstruction,
+// and reject truncated or corrupted offset tables as clean cliz::Error. The serial (default) layout stays locked byte-exactly
 // by test_golden_streams.cpp; this file owns the framed wire.
 #include <gtest/gtest.h>
 
@@ -117,12 +116,8 @@ struct ThreadCountGuard {
   ~ThreadCountGuard() { set_thread_count(saved); }
 };
 
-constexpr EntropyBackend kBackends[] = {EntropyBackend::kHuffman,
-                                        EntropyBackend::kTans};
-
-ClizOptions framed_options(EntropyBackend entropy) {
+ClizOptions framed_options() {
   ClizOptions o;
-  o.entropy = entropy;
   o.frame_passes = true;
   return o;
 }
@@ -149,40 +144,37 @@ std::vector<Case> golden_cases(const MaskedField& mf) {
 TEST(EntropyFraming, FramedRoundTripsGoldenGenerators) {
   const MaskedField mf = masked_field();
   for (const Case& c : golden_cases(mf)) {
-    for (const EntropyBackend entropy : kBackends) {
-      SCOPED_TRACE(c.name + " entropy=" + entropy_backend_name(entropy));
-      ClizOptions serial;
-      serial.entropy = entropy;
-      const ClizOptions framed = framed_options(entropy);
+    SCOPED_TRACE(c.name);
+    const ClizOptions serial{};
+    const ClizOptions framed = framed_options();
 
-      CodecContext cctx;
-      const auto framed_stream = ClizCompressor(c.config, framed)
-                                     .compress(c.data, kEb, c.mask, cctx);
-      EXPECT_TRUE(cctx.stats.frame_passes);
-      EXPECT_GT(cctx.stats.frame_segments, 0u);
-      const auto serial_stream =
-          ClizCompressor(c.config, serial).compress(c.data, kEb, c.mask);
+    CodecContext cctx;
+    const auto framed_stream = ClizCompressor(c.config, framed)
+                                   .compress(c.data, kEb, c.mask, cctx);
+    EXPECT_TRUE(cctx.stats.frame_passes);
+    EXPECT_GT(cctx.stats.frame_segments, 0u);
+    const auto serial_stream =
+        ClizCompressor(c.config, serial).compress(c.data, kEb, c.mask);
 
-      CodecContext dctx;
-      const auto framed_out = ClizCompressor::decompress(framed_stream, dctx);
-      EXPECT_TRUE(dctx.stats.frame_passes);
-      EXPECT_EQ(dctx.stats.frame_segments, cctx.stats.frame_segments);
-      EXPECT_LE(error_stats(c.data.flat(), framed_out.flat(), c.mask)
-                    .max_abs_error,
-                kEb);
+    CodecContext dctx;
+    const auto framed_out = ClizCompressor::decompress(framed_stream, dctx);
+    EXPECT_TRUE(dctx.stats.frame_passes);
+    EXPECT_EQ(dctx.stats.frame_segments, cctx.stats.frame_segments);
+    EXPECT_LE(error_stats(c.data.flat(), framed_out.flat(), c.mask)
+                  .max_abs_error,
+              kEb);
 
-      // Framing reorders nothing: the framed reconstruction is bit-identical
-      // to the serial one, not merely within the bound.
-      const auto serial_out = ClizCompressor::decompress(serial_stream);
-      ASSERT_EQ(framed_out.size(), serial_out.size());
+    // Framing reorders nothing: the framed reconstruction is bit-identical
+    // to the serial one, not merely within the bound.
+    const auto serial_out = ClizCompressor::decompress(serial_stream);
+    ASSERT_EQ(framed_out.size(), serial_out.size());
+    for (std::size_t i = 0; i < framed_out.size(); ++i) {
+      ASSERT_EQ(framed_out[i], serial_out[i]) << "value " << i;
+    }
+    if (c.mask != nullptr) {
       for (std::size_t i = 0; i < framed_out.size(); ++i) {
-        ASSERT_EQ(framed_out[i], serial_out[i]) << "value " << i;
-      }
-      if (c.mask != nullptr) {
-        for (std::size_t i = 0; i < framed_out.size(); ++i) {
-          if (!c.mask->valid(i)) {
-            ASSERT_EQ(framed_out[i], kFill);
-          }
+        if (!c.mask->valid(i)) {
+          ASSERT_EQ(framed_out[i], kFill);
         }
       }
     }
@@ -191,17 +183,13 @@ TEST(EntropyFraming, FramedRoundTripsGoldenGenerators) {
 
 TEST(EntropyFraming, FramedRoundTripsChunkedFrames) {
   const auto data = chunked_field();
-  for (const EntropyBackend entropy : kBackends) {
-    SCOPED_TRACE(std::string("entropy=") + entropy_backend_name(entropy));
-    ChunkedOptions copts;
-    copts.chunks = 4;
-    copts.codec = framed_options(entropy);
-    const auto frame = chunked_compress(data, kEb,
-                                        PipelineConfig::defaults(3), nullptr,
-                                        copts);
-    const auto out = chunked_decompress(frame);
-    EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
-  }
+  ChunkedOptions copts;
+  copts.chunks = 4;
+  copts.codec = framed_options();
+  const auto frame = chunked_compress(data, kEb, PipelineConfig::defaults(3),
+                                      nullptr, copts);
+  const auto out = chunked_decompress(frame);
+  EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
 }
 
 // --- thread-count invariance ---------------------------------------------
@@ -214,26 +202,23 @@ TEST(EntropyFraming, FramedStreamsAreThreadCountInvariant) {
   const MaskedField mf = masked_field();
   const auto cases = golden_cases(mf);
   ThreadCountGuard guard;
-  for (const EntropyBackend entropy : kBackends) {
-    const ClizOptions opts = framed_options(entropy);
-    for (const Case& c : cases) {
-      SCOPED_TRACE(c.name + " entropy=" + entropy_backend_name(entropy));
-      set_thread_count(1);
-      const auto reference =
-          ClizCompressor(c.config, opts).compress(c.data, kEb, c.mask);
-      const auto reference_out = ClizCompressor::decompress(reference);
-      for (const int threads : {2, 8}) {
-        set_thread_count(threads);
-        EXPECT_EQ(ClizCompressor(c.config, opts)
-                      .compress(c.data, kEb, c.mask),
-                  reference)
-            << "framed stream differs at " << threads << " thread(s)";
-        const auto out = ClizCompressor::decompress(reference);
-        ASSERT_EQ(out.size(), reference_out.size());
-        for (std::size_t i = 0; i < out.size(); ++i) {
-          ASSERT_EQ(out[i], reference_out[i])
-              << "decode differs at " << threads << " thread(s), value " << i;
-        }
+  const ClizOptions opts = framed_options();
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    set_thread_count(1);
+    const auto reference =
+        ClizCompressor(c.config, opts).compress(c.data, kEb, c.mask);
+    const auto reference_out = ClizCompressor::decompress(reference);
+    for (const int threads : {2, 8}) {
+      set_thread_count(threads);
+      EXPECT_EQ(ClizCompressor(c.config, opts).compress(c.data, kEb, c.mask),
+                reference)
+          << "framed stream differs at " << threads << " thread(s)";
+      const auto out = ClizCompressor::decompress(reference);
+      ASSERT_EQ(out.size(), reference_out.size());
+      for (std::size_t i = 0; i < out.size(); ++i) {
+        ASSERT_EQ(out[i], reference_out[i])
+            << "decode differs at " << threads << " thread(s), value " << i;
       }
     }
   }
@@ -260,7 +245,7 @@ TEST(EntropyFraming, CorruptOffsetTableIsCleanError) {
       ClizCompressor(PipelineConfig::defaults(2)).compress(data, kEb));
   const auto framed_raw = lossless_decompress(
       ClizCompressor(PipelineConfig::defaults(2),
-                     framed_options(EntropyBackend::kHuffman))
+                     framed_options())
           .compress(data, kEb));
   const std::size_t pos = entropy_byte_offset(serial_raw, framed_raw);
   ASSERT_EQ(serial_raw[pos], 0u);     // (huffman id 0 << 1) | unclassified
@@ -306,19 +291,15 @@ TEST(EntropyFraming, CorruptOffsetTableIsCleanError) {
 
 TEST(EntropyFraming, TruncatedFramedStreamIsCleanError) {
   const auto data = periodic_field();
-  for (const EntropyBackend entropy : kBackends) {
-    SCOPED_TRACE(std::string("entropy=") + entropy_backend_name(entropy));
-    const auto raw = lossless_decompress(
-        ClizCompressor(periodic_config(), framed_options(entropy))
-            .compress(data, kEb));
-    // Truncating the raw stream anywhere — offset table, coding tables or
-    // payload — must surface as Error once re-wrapped, never as a crash or
-    // an out-of-bounds read.
-    for (const auto& fault : fault::truncation_cases(raw, 32)) {
-      const auto stream = lossless_compress(fault.bytes);
-      EXPECT_THROW((void)ClizCompressor::decompress(stream), Error)
-          << fault.label;
-    }
+  const auto raw = lossless_decompress(
+      ClizCompressor(periodic_config(), framed_options()).compress(data, kEb));
+  // Truncating the raw stream anywhere — offset table, coding tables or
+  // payload — must surface as Error once re-wrapped, never as a crash or
+  // an out-of-bounds read.
+  for (const auto& fault : fault::truncation_cases(raw, 32)) {
+    const auto stream = lossless_compress(fault.bytes);
+    EXPECT_THROW((void)ClizCompressor::decompress(stream), Error)
+        << fault.label;
   }
 }
 
@@ -326,18 +307,16 @@ TEST(EntropyFraming, FramedStreamMutationsNeverCrash) {
   // Seeded bit flips across the whole framed stream (lossless container
   // included): decode must reject or reproduce, never crash.
   const auto data = chunked_field();
-  for (const EntropyBackend entropy : kBackends) {
-    const auto stream =
-        ClizCompressor(PipelineConfig::defaults(3), framed_options(entropy))
-            .compress(data, kEb);
-    for (const auto& fault : fault::bit_flip_cases(stream, 60, 707)) {
-      try {
-        (void)ClizCompressor::decompress(fault.bytes);
-      } catch (const Error&) {
-        // detected corruption
-      } catch (const std::bad_alloc&) {
-        // bounded allocation bomb
-      }
+  const auto stream =
+      ClizCompressor(PipelineConfig::defaults(3), framed_options())
+          .compress(data, kEb);
+  for (const auto& fault : fault::bit_flip_cases(stream, 60, 707)) {
+    try {
+      (void)ClizCompressor::decompress(fault.bytes);
+    } catch (const Error&) {
+      // detected corruption
+    } catch (const std::bad_alloc&) {
+      // bounded allocation bomb
     }
   }
 }
@@ -349,7 +328,7 @@ TEST(EntropyFraming, StatsRecordFramingOnBothSides) {
   CodecContext cctx;
   const auto stream =
       ClizCompressor(PipelineConfig::defaults(2),
-                     framed_options(EntropyBackend::kHuffman))
+                     framed_options())
           .compress(data, kEb, nullptr, cctx);
   EXPECT_TRUE(cctx.stats.frame_passes);
   EXPECT_NE(cctx.stats.to_json().find("\"frame_passes\":true"),
@@ -376,7 +355,7 @@ TEST(EntropyFraming, DefaultStreamsStayUnframed) {
       ClizCompressor(PipelineConfig::defaults(2)).compress(data, kEb));
   const auto framed_raw = lossless_decompress(
       ClizCompressor(PipelineConfig::defaults(2),
-                     framed_options(EntropyBackend::kHuffman))
+                     framed_options())
           .compress(data, kEb));
   const std::size_t pos = entropy_byte_offset(raw, framed_raw);
   EXPECT_EQ(raw[pos] & 0x80u, 0u);

@@ -156,28 +156,35 @@ TEST(FuzzClizHeader, RejectsOutOfRangeQuantizerRadius) {
 }
 
 TEST(FuzzClizHeader, RejectsUnknownEntropyBackendId) {
-  // The entropy byte carries (backend_id << 1) | classified. Locate it as
-  // the first byte where Huffman and tANS compressions of the same input
-  // diverge, then sweep hostile ids through it: each must be rejected with
-  // a clean Error (never a crash, never garbage output).
+  // The entropy byte carries (backend_id << 1) | classified, bit 7 = framed.
+  // Locate it as the first byte where serial and framed compressions of the
+  // same input diverge, then sweep hostile ids through it: each must be
+  // rejected with a clean kCorruptStream (never a crash, never garbage
+  // output).
   const auto data = sample_data();
-  ClizOptions tans_opts;
-  tans_opts.entropy = EntropyBackend::kTans;
-  const auto huffman_raw = lossless_decompress(
+  ClizOptions framed_opts;
+  framed_opts.frame_passes = true;
+  const auto serial_raw = lossless_decompress(
       ClizCompressor(PipelineConfig::defaults(3)).compress(data, 1e-3));
-  const auto tans_raw = lossless_decompress(
-      ClizCompressor(PipelineConfig::defaults(3), tans_opts)
+  const auto framed_raw = lossless_decompress(
+      ClizCompressor(PipelineConfig::defaults(3), framed_opts)
           .compress(data, 1e-3));
-  const std::size_t pos = fault::first_divergence(huffman_raw, tans_raw);
-  ASSERT_LT(pos, huffman_raw.size());
-  ASSERT_EQ(huffman_raw[pos], 0u);  // (huffman id << 1) | unclassified
+  const std::size_t pos = fault::first_divergence(serial_raw, framed_raw);
+  ASSERT_LT(pos, serial_raw.size());
+  ASSERT_EQ(serial_raw[pos], 0u);  // (huffman id << 1) | unclassified
+  ASSERT_EQ(framed_raw[pos], 0x80u);
 
   for (const std::uint8_t id : {2, 3, 7, 63, 127}) {
-    auto mutated = huffman_raw;
+    auto mutated = serial_raw;
     mutated[pos] = static_cast<std::uint8_t>(id << 1);
     const auto stream = lossless_compress(mutated);
-    EXPECT_THROW((void)ClizCompressor::decompress(stream), Error)
-        << "backend id " << static_cast<int>(id);
+    try {
+      (void)ClizCompressor::decompress(stream);
+      ADD_FAILURE() << "backend id " << static_cast<int>(id) << " decoded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptStream)
+          << "backend id " << static_cast<int>(id);
+    }
   }
 }
 

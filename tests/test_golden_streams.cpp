@@ -19,7 +19,9 @@
 #include "src/common/crc32c.hpp"
 #include "src/common/parallel.hpp"
 #include "src/common/rng.hpp"
+#include "src/common/status.hpp"
 #include "src/core/chunked.hpp"
+#include "src/core/chunked_reader.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
 #include "src/lossless/lossless.hpp"
@@ -323,7 +325,7 @@ TEST(GoldenStreams, LargeFieldThreadCountInvariant) {
 // --- CRC32C locks for encoder paths the corpus does not pin -------------
 // The committed streams above are all huffman + lz. These digests pin the
 // other encoder paths without multi-MB fixtures: a change to the bit
-// writer, the Huffman encode table, the tANS encoder or the LZ parse that
+// writer, the Huffman encode table or the LZ parse that
 // alters any output byte fails here. A deliberate format change updates
 // the digests together with the corpus.
 
@@ -366,20 +368,6 @@ PipelineConfig classified_config() {
 constexpr std::uint8_t kStored = 2;
 constexpr std::uint8_t kLz = 3;
 constexpr std::uint8_t kRle = 5;
-
-TEST(GoldenStreams, TansLzStreamsLocked) {
-  ClizOptions opts;
-  opts.entropy = EntropyBackend::kTans;
-  // Tiny and noisy: the LZ parse runs but loses to the stored fallback.
-  EXPECT_EQ(
-      stream_crc(PipelineConfig::defaults(2), opts, plain_field(), kStored),
-      0x2E810DE2u);
-  EXPECT_EQ(stream_crc(classified_config(), opts, wide_field(), kLz),
-            0x259E3C18u);
-  const auto mf = masked_field();
-  EXPECT_EQ(stream_crc(masked_config(), opts, mf.data, kLz, &mf.mask),
-            0xE092C17Eu);
-}
 
 TEST(GoldenStreams, HuffmanStoreStreamsLocked) {
   ClizOptions opts;
@@ -489,6 +477,55 @@ TEST(GoldenStreams, V1ChunkedFrameStillDecodes) {
   NdArray<float> out(data.shape());
   chunked_decompress_into(stream, out, &scratch);
   EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
+}
+
+// --- retired tANS fixtures ----------------------------------------------
+// Frozen streams of the retired tANS entropy coder (entropy id 1):
+// plain_field() as a plain stream, and chunked_field() as a CLK3 frame of
+// three 10x12x10 tANS tiles. Decode-only like the v1 fixtures, with the
+// opposite contract: every decode entry point refuses them as kUnsupported
+// and names tANS, instead of misreading the payload.
+
+/// Runs `decode`, which must throw kUnsupported with a message naming tANS.
+template <typename Decode>
+void expect_retired_tans(Decode&& decode) {
+  try {
+    decode();
+    ADD_FAILURE() << "retired tANS stream decoded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnsupported) << e.what();
+    EXPECT_NE(std::string(e.what()).find("tANS"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GoldenStreams, RetiredTansStreamIsUnsupported) {
+  const auto stream = read_file(golden_path("tans_plain.cliz"));
+  ASSERT_FALSE(stream.empty());
+  expect_retired_tans([&] { (void)ClizCompressor::decompress(stream); });
+  // The context-reusing entry point refuses before touching the output.
+  CodecContext ctx;
+  NdArray<float> out(plain_field().shape());
+  expect_retired_tans(
+      [&] { ClizCompressor::decompress_into(stream, ctx, out); });
+}
+
+TEST(GoldenStreams, RetiredTansTilesAreUnsupported) {
+  const auto frame = read_file(golden_path("tans_tiled.clks"));
+  ASSERT_FALSE(frame.empty());
+  ASSERT_TRUE(is_chunked_stream(frame));
+  // The tile index is entropy-agnostic and still parses; decoding any tile
+  // is what refuses.
+  const ChunkedReader reader(frame);
+  ASSERT_EQ(reader.tiles().size(), 3u);
+  EXPECT_EQ(reader.sample_bytes(), 4u);
+  const std::size_t origin[] = {8, 2, 3};  // straddles tiles 0 and 1
+  const std::size_t extent[] = {4, 5, 6};
+  std::vector<float> window(4 * 5 * 6);
+  expect_retired_tans([&] {
+    (void)reader.decompress_region(origin, extent, std::span<float>(window));
+  });
+  expect_retired_tans([&] { (void)chunked_decompress(frame); });
 }
 
 }  // namespace

@@ -1,9 +1,8 @@
-// Stage-backend registry tests: every entropy x lossless backend pair must
-// round-trip the golden-corpus datasets within the bound, streams must stay
-// thread-count invariant for the non-default backends (the default pair is
-// locked byte-exactly by test_golden_streams.cpp), an unknown backend id in
-// a stream must be a clean cliz::Error, and an infeasible tANS alphabet
-// must downgrade to Huffman on encode rather than fail.
+// Stage-backend tests: every lossless backend must round-trip the
+// golden-corpus datasets within the bound, streams must stay thread-count
+// invariant for the non-default backend (the default is locked byte-exactly
+// by test_golden_streams.cpp), and an unknown entropy id in a stream must be
+// a clean cliz::Error.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -18,7 +17,6 @@
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
 #include "src/core/stage_backends.hpp"
-#include "src/entropy/tans.hpp"
 #include "src/lossless/lossless.hpp"
 #include "src/metrics/metrics.hpp"
 
@@ -113,22 +111,12 @@ PipelineConfig periodic_config() {
   return c;
 }
 
-struct BackendPair {
-  EntropyBackend entropy;
-  LosslessBackend lossless;
-};
+const LosslessBackend kAllBackends[] = {LosslessBackend::kLz,
+                                        LosslessBackend::kStore};
 
-const BackendPair kAllPairs[] = {
-    {EntropyBackend::kHuffman, LosslessBackend::kLz},
-    {EntropyBackend::kHuffman, LosslessBackend::kStore},
-    {EntropyBackend::kTans, LosslessBackend::kLz},
-    {EntropyBackend::kTans, LosslessBackend::kStore},
-};
-
-ClizOptions options_for(const BackendPair& p) {
+ClizOptions options_for(LosslessBackend lossless) {
   ClizOptions o;
-  o.entropy = p.entropy;
-  o.lossless = p.lossless;
+  o.lossless = lossless;
   return o;
 }
 
@@ -138,25 +126,15 @@ TEST(StageBackends, AllPairsRoundTripGoldenCorpus) {
   const auto plain = plain_field();
   const auto mf = masked_field();
   const auto periodic = periodic_field();
-  for (const BackendPair& pair : kAllPairs) {
-    SCOPED_TRACE(std::string("entropy=") +
-                 entropy_backend_name(pair.entropy) +
-                 " lossless=" + lossless_backend_name(pair.lossless));
-    const ClizOptions opts = options_for(pair);
+  for (const LosslessBackend lossless : kAllBackends) {
+    SCOPED_TRACE(std::string("lossless=") + lossless_backend_name(lossless));
+    const ClizOptions opts = options_for(lossless);
 
-    CodecContext cctx;
-    const auto plain_stream = ClizCompressor(PipelineConfig::defaults(2),
-                                             opts)
-                                  .compress(plain, kEb, nullptr, cctx);
-    EXPECT_EQ(cctx.stats.entropy_backend,
-              static_cast<std::uint8_t>(pair.entropy));
-    EXPECT_FALSE(cctx.stats.entropy_downgraded);
-    CodecContext dctx;
-    const auto plain_out = ClizCompressor::decompress(plain_stream, dctx);
+    const auto plain_stream =
+        ClizCompressor(PipelineConfig::defaults(2), opts).compress(plain, kEb);
+    const auto plain_out = ClizCompressor::decompress(plain_stream);
     EXPECT_LE(error_stats(plain.flat(), plain_out.flat()).max_abs_error,
               kEb);
-    EXPECT_EQ(dctx.stats.entropy_backend,
-              static_cast<std::uint8_t>(pair.entropy));
 
     const auto masked_stream = ClizCompressor(masked_config(), opts)
                                    .compress(mf.data, kEb, &mf.mask);
@@ -180,13 +158,11 @@ TEST(StageBackends, AllPairsRoundTripGoldenCorpus) {
 
 TEST(StageBackends, AllPairsRoundTripChunkedFrames) {
   const auto data = chunked_field();
-  for (const BackendPair& pair : kAllPairs) {
-    SCOPED_TRACE(std::string("entropy=") +
-                 entropy_backend_name(pair.entropy) +
-                 " lossless=" + lossless_backend_name(pair.lossless));
+  for (const LosslessBackend lossless : kAllBackends) {
+    SCOPED_TRACE(std::string("lossless=") + lossless_backend_name(lossless));
     ChunkedOptions copts;
     copts.chunks = 4;
-    copts.codec = options_for(pair);
+    copts.codec = options_for(lossless);
     const auto frame = chunked_compress(data, kEb,
                                         PipelineConfig::defaults(3), nullptr,
                                         copts);
@@ -203,27 +179,25 @@ TEST(StageBackends, DefaultOptionsReproduceDefaultBackends) {
   const auto data = plain_field();
   EXPECT_EQ(ClizCompressor(PipelineConfig::defaults(2)).compress(data, kEb),
             ClizCompressor(PipelineConfig::defaults(2),
-                           options_for(kAllPairs[0]))
+                           options_for(kAllBackends[0]))
                 .compress(data, kEb));
 }
 
 // --- thread-count invariance ---------------------------------------------
 // Mirror of GoldenStreams.StreamsAreThreadCountInvariant for the
-// non-default pair: work partitioning never depends on the worker count,
-// whatever the backends.
+// non-default lossless backend: work partitioning never depends on the
+// worker count, whatever the backend.
 
 struct ThreadCountGuard {
   int saved = hardware_threads();
   ~ThreadCountGuard() { set_thread_count(saved); }
 };
 
-TEST(StageBackends, TansStoreStreamsAreThreadCountInvariant) {
+TEST(StageBackends, StoreStreamsAreThreadCountInvariant) {
   const auto plain = plain_field();
   const auto mf = masked_field();
   const auto periodic = periodic_field();
-  ClizOptions opts;
-  opts.entropy = EntropyBackend::kTans;
-  opts.lossless = LosslessBackend::kStore;
+  const ClizOptions opts = options_for(LosslessBackend::kStore);
 
   ThreadCountGuard guard;
   set_thread_count(1);
@@ -240,113 +214,72 @@ TEST(StageBackends, TansStoreStreamsAreThreadCountInvariant) {
     EXPECT_EQ(ClizCompressor(PipelineConfig::defaults(2), opts)
                   .compress(plain, kEb),
               serial_plain)
-        << "plain tans/store stream differs at " << threads << " thread(s)";
+        << "plain store stream differs at " << threads << " thread(s)";
     EXPECT_EQ(ClizCompressor(masked_config(), opts)
                   .compress(mf.data, kEb, &mf.mask),
               serial_masked)
-        << "masked tans/store stream differs at " << threads << " thread(s)";
+        << "masked store stream differs at " << threads << " thread(s)";
     EXPECT_EQ(ClizCompressor(periodic_config(), opts).compress(periodic, kEb),
               serial_periodic)
-        << "periodic tans/store stream differs at " << threads
+        << "periodic store stream differs at " << threads
         << " thread(s)";
   }
 }
 
-// --- unknown backend id --------------------------------------------------
-
-/// Offset of the entropy byte in the unwrapped stream: the only byte that
-/// differs between a Huffman and a tANS compression of the same input
-/// before the coding tables start.
-std::size_t entropy_byte_offset(const std::vector<std::uint8_t>& huffman,
-                                const std::vector<std::uint8_t>& tans) {
-  const std::size_t n = std::min(huffman.size(), tans.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    if (huffman[i] != tans[i]) return i;
-  }
-  ADD_FAILURE() << "streams do not diverge";
-  return 0;
-}
+// --- unknown entropy id ------------------------------------------------
 
 TEST(StageBackends, UnknownEntropyIdIsCleanError) {
+  // The entropy byte is the first byte where a serial and a framed
+  // compression of the same input differ (bit 7 flags the framed
+  // container).
   const auto data = plain_field();
-  ClizOptions tans_opts;
-  tans_opts.entropy = EntropyBackend::kTans;
-  const auto huffman_raw = lossless_decompress(
+  ClizOptions framed_opts;
+  framed_opts.frame_passes = true;
+  const auto serial_raw = lossless_decompress(
       ClizCompressor(PipelineConfig::defaults(2)).compress(data, kEb));
-  const auto tans_raw = lossless_decompress(
-      ClizCompressor(PipelineConfig::defaults(2), tans_opts)
+  const auto framed_raw = lossless_decompress(
+      ClizCompressor(PipelineConfig::defaults(2), framed_opts)
           .compress(data, kEb));
-  const std::size_t pos = entropy_byte_offset(huffman_raw, tans_raw);
-  // Sanity: the diverging byte really is the entropy byte of both streams.
-  ASSERT_EQ(huffman_raw[pos], 0u);  // (huffman id 0 << 1) | unclassified
-  ASSERT_EQ(tans_raw[pos], 2u);     // (tans id 1 << 1) | unclassified
+  const std::size_t pos = fault::first_divergence(serial_raw, framed_raw);
+  ASSERT_LT(pos, serial_raw.size());
+  ASSERT_EQ(serial_raw[pos], 0x00u);  // (huffman id 0 << 1) | unclassified
+  ASSERT_EQ(framed_raw[pos], 0x80u);  // same, framed
 
-  // Every unknown id (2..63 in the id field) must be a clean Error; the
-  // two registered ids keep decoding. 0x80 flips the framed-container bit
-  // (id stays huffman) over a serial payload, so it must also reject
-  // cleanly — via the framing layout/bounds checks rather than the id
-  // lookup (test_entropy_framing.cpp covers the framed wire in depth).
-  const std::uint8_t overrides[] = {4, 5, 6, 0x80, 0xFE, 0xFF};
+  // Every id >= 2 in the id field (bits 1..6) is unknown to this build and
+  // must be a clean kCorruptStream, classified or framed bits notwithstanding.
+  const std::uint8_t unknown[] = {4, 5, 6, 0x84, 0x7E, 0xFE, 0xFF};
   for (const auto& fault :
-       fault::byte_override_cases(huffman_raw, pos, overrides)) {
+       fault::byte_override_cases(serial_raw, pos, unknown)) {
     const auto stream = lossless_compress(fault.bytes);
-    EXPECT_THROW((void)ClizCompressor::decompress(stream), Error)
-        << fault.label;
-  }
-  EXPECT_EQ(find_entropy_backend(0)->id, EntropyBackend::kHuffman);
-  EXPECT_EQ(find_entropy_backend(1)->id, EntropyBackend::kTans);
-  EXPECT_EQ(find_entropy_backend(2), nullptr);
-  EXPECT_EQ(find_entropy_backend(0xFF), nullptr);
-}
-
-TEST(StageBackends, TansStreamMutationsNeverCrash) {
-  // Seeded bit flips over a tANS stream: the decoder must reject or decode,
-  // never crash (the tANS state/refill path has its own bounds checks).
-  const auto data = periodic_field();
-  ClizOptions opts;
-  opts.entropy = EntropyBackend::kTans;
-  const auto stream =
-      ClizCompressor(periodic_config(), opts).compress(data, kEb);
-  for (const auto& fault : fault::bit_flip_cases(stream, 60, 808)) {
     try {
-      (void)ClizCompressor::decompress(fault.bytes);
-    } catch (const Error&) {
-      // detected corruption
-    } catch (const std::bad_alloc&) {
-      // bounded allocation bomb
+      (void)ClizCompressor::decompress(stream);
+      ADD_FAILURE() << fault.label << ": decoded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kCorruptStream) << fault.label;
     }
   }
-}
-
-// --- encode-side downgrade -----------------------------------------------
-
-TEST(StageBackends, InfeasibleTansAlphabetDowngradesToHuffman) {
-  // Wide-range noise against a tiny bound: the residual census spreads over
-  // more than 2^15 distinct codes, which no tANS table here can hold. The
-  // encoder must fall back to Huffman, patch the stream's entropy byte, and
-  // still round-trip.
-  const Shape shape({64, 64, 32});
-  NdArray<float> data(shape);
-  Rng rng(6006);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<float>(0.02 * rng.uniform());
+  // Id 1 is the retired tANS coder: refused as unsupported before any of
+  // its tables are read. 0x80 flips the framed-container bit (id stays
+  // huffman) over a serial payload, which the framing layout/bounds checks
+  // reject (test_entropy_framing.cpp covers the framed wire in depth).
+  const std::uint8_t retired[] = {2, 3, 0x82};
+  for (const auto& fault :
+       fault::byte_override_cases(serial_raw, pos, retired)) {
+    try {
+      (void)ClizCompressor::decompress(lossless_compress(fault.bytes));
+      ADD_FAILURE() << fault.label << ": decoded";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUnsupported) << fault.label;
+    }
   }
-  const double eb = 1e-7;
-  ClizOptions opts;
-  opts.entropy = EntropyBackend::kTans;
-
-  CodecContext cctx;
-  const auto stream = ClizCompressor(PipelineConfig::defaults(3), opts)
-                          .compress(data, eb, nullptr, cctx);
-  EXPECT_TRUE(cctx.stats.entropy_downgraded);
-  EXPECT_EQ(cctx.stats.entropy_backend,
-            static_cast<std::uint8_t>(EntropyBackend::kHuffman));
-
-  CodecContext dctx;
-  const auto out = ClizCompressor::decompress(stream, dctx);
-  EXPECT_EQ(dctx.stats.entropy_backend,
-            static_cast<std::uint8_t>(EntropyBackend::kHuffman));
-  EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, eb);
+  const std::uint8_t framed_flip[] = {0x80};
+  for (const auto& fault :
+       fault::byte_override_cases(serial_raw, pos, framed_flip)) {
+    EXPECT_THROW(
+        (void)ClizCompressor::decompress(lossless_compress(fault.bytes)),
+        Error)
+        << fault.label;
+  }
 }
 
 // --- store/RLE lossless backend ------------------------------------------
@@ -393,61 +326,6 @@ TEST(StageBackends, RleFrameFaultsAreCleanErrors) {
   }
 }
 
-// --- tANS unit behaviour -------------------------------------------------
-
-TEST(StageBackends, TansCodecRoundTripsSkewedSymbols) {
-  std::unordered_map<std::uint32_t, std::uint64_t> freq;
-  std::vector<std::uint32_t> symbols;
-  Rng rng(99);
-  for (std::size_t i = 0; i < 5000; ++i) {
-    // Skewed draw over a sparse alphabet.
-    const std::uint32_t sym =
-        rng.uniform_index(10) == 0
-            ? static_cast<std::uint32_t>(100 + rng.uniform_index(40) * 3)
-            : static_cast<std::uint32_t>(rng.uniform_index(4));
-    symbols.push_back(sym);
-    ++freq[sym];
-  }
-  TansCodec codec;
-  const unsigned table_log = TansCodec::pick_table_log(freq.size());
-  ASSERT_TRUE(codec.rebuild_from_frequencies(freq, table_log));
-
-  std::uint32_t state = 1u << table_log;
-  std::vector<std::uint32_t> stack;
-  for (std::size_t i = symbols.size(); i-- > 0;) {
-    codec.encode_symbol(symbols[i], state, stack);
-  }
-  BitWriter bits;
-  bits.put_bits(state - (1u << table_log), static_cast<int>(table_log));
-  for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
-    bits.put_bits(*it & 0xFFFFu, static_cast<int>(*it >> 16));
-  }
-  const auto payload = bits.finish_view();
-
-  ByteWriter table;
-  codec.serialize(table);
-  TansCodec parsed;
-  ByteReader table_reader(table.bytes());
-  parsed.parse(table_reader, table_log);
-
-  BitReader reader(payload);
-  std::uint32_t dstate =
-      (1u << table_log) +
-      static_cast<std::uint32_t>(reader.get_bits(
-          static_cast<int>(table_log)));
-  for (const std::uint32_t expected : symbols) {
-    ASSERT_EQ(parsed.decode_symbol(dstate, reader), expected);
-  }
-}
-
-TEST(StageBackends, TansRejectsOversizedAlphabet) {
-  std::unordered_map<std::uint32_t, std::uint64_t> freq;
-  for (std::uint32_t s = 0; s < 40; ++s) freq[s] = 1;
-  TansCodec codec;
-  EXPECT_FALSE(codec.rebuild_from_frequencies(freq, 5));  // 40 > 2^5
-  EXPECT_TRUE(codec.rebuild_from_frequencies(freq, 6));
-}
-
 // --- autotune backend grid -----------------------------------------------
 
 TEST(StageBackends, AutotuneRecordsDeterministicBackendChoice) {
@@ -456,16 +334,17 @@ TEST(StageBackends, AutotuneRecordsDeterministicBackendChoice) {
   opts.sampling_rate = 0.2;
   const auto first = autotune(data, kEb, nullptr, opts);
   const auto second = autotune(data, kEb, nullptr, opts);
-  ASSERT_EQ(first.backend_candidates.size(), 4u);
-  EXPECT_EQ(first.best_entropy, second.best_entropy);
+  ASSERT_EQ(first.backend_candidates.size(), 2u);
+  EXPECT_EQ(first.backend_candidates[0].lossless, LosslessBackend::kLz);
+  EXPECT_EQ(first.backend_candidates[1].lossless, LosslessBackend::kStore);
   EXPECT_EQ(first.best_lossless, second.best_lossless);
-  for (std::size_t i = 0; i < 4; ++i) {
+  for (std::size_t i = 0; i < 2; ++i) {
     EXPECT_EQ(first.backend_candidates[i].estimated_ratio,
               second.backend_candidates[i].estimated_ratio)
         << "grid trial " << i;
     EXPECT_GT(first.backend_candidates[i].estimated_ratio, 0.0);
   }
-  // The winner is at least as good as the default pair, and the choice is
+  // The winner is at least as good as the default, and the choice is
   // reproduced by compressing with the recorded backends.
   EXPECT_GE(std::max_element(first.backend_candidates.begin(),
                              first.backend_candidates.end(),
@@ -476,11 +355,18 @@ TEST(StageBackends, AutotuneRecordsDeterministicBackendChoice) {
                 ->estimated_ratio,
             first.backend_candidates[0].estimated_ratio);
   ClizOptions copts;
-  copts.entropy = first.best_entropy;
   copts.lossless = first.best_lossless;
   const auto stream = ClizCompressor(first.best, copts).compress(data, kEb);
   const auto out = ClizCompressor::decompress(stream);
   EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
+
+  // The report keys the grid by lossless name and, with Huffman the only
+  // entropy coder, carries no entropy choice.
+  const std::string json = first.to_json();
+  EXPECT_NE(json.find("\"backend_candidates\":{\"lz\":"), std::string::npos)
+      << json;
+  EXPECT_NE(json.find(",\"store\":"), std::string::npos) << json;
+  EXPECT_EQ(json.find("entropy"), std::string::npos) << json;
 }
 
 TEST(StageBackends, AutotuneBackendGridCanBeDisabled) {
@@ -490,8 +376,51 @@ TEST(StageBackends, AutotuneBackendGridCanBeDisabled) {
   opts.consider_backends = false;
   const auto result = autotune(data, kEb, nullptr, opts);
   EXPECT_TRUE(result.backend_candidates.empty());
-  EXPECT_EQ(result.best_entropy, EntropyBackend::kHuffman);
   EXPECT_EQ(result.best_lossless, LosslessBackend::kLz);
+}
+
+// --- telemetry names -----------------------------------------------------
+
+TEST(StageBackends, StatsNameBackendsFromTheEnumTables) {
+  // StageStats renders the stored ids through the backend headers' name
+  // tables (the ones the CLI parses), so each enum has one spelling.
+  for (const PredictorBackend predictor :
+       {PredictorBackend::kInterp, PredictorBackend::kLorenzo1,
+        PredictorBackend::kLorenzo2, PredictorBackend::kRegression}) {
+    for (const LosslessBackend lossless :
+         {LosslessBackend::kLz, LosslessBackend::kStore}) {
+      const std::string p = predictor_backend_name(predictor);
+      const std::string l = lossless_backend_name(lossless);
+      SCOPED_TRACE(p + "+" + l);
+      ASSERT_EQ(parse_predictor_backend(p), predictor);
+      ASSERT_EQ(parse_lossless_backend(l), lossless);
+      StageStats st;
+      st.predictor_backend = static_cast<std::uint8_t>(predictor);
+      st.lossless_backend = static_cast<std::uint8_t>(lossless);
+      const std::string json = st.to_json();
+      EXPECT_NE(json.find("\"predictor_backend\":\"" + p + "\","),
+                std::string::npos)
+          << json;
+      EXPECT_NE(json.find("\"lossless_backend\":\"" + l + "\","),
+                std::string::npos)
+          << json;
+      // No entropy-coder keys: Huffman is the only coder.
+      EXPECT_EQ(json.find("\"entropy"), std::string::npos) << json;
+      const std::string text = st.to_text();
+      EXPECT_NE(text.find("backends: predictor=" + p + " lossless=" + l +
+                          " simd="),
+                std::string::npos)
+          << text;
+    }
+  }
+  // Ids past the tables (a stream from a newer writer) render as unknown.
+  StageStats st;
+  st.predictor_backend = 0xFF;
+  st.lossless_backend = 0xFF;
+  EXPECT_NE(st.to_json().find("\"predictor_backend\":\"unknown\","),
+            std::string::npos);
+  EXPECT_NE(st.to_json().find("\"lossless_backend\":\"unknown\","),
+            std::string::npos);
 }
 
 }  // namespace

@@ -69,16 +69,14 @@ def load_benchmarks(path):
 def backend_summary(run):
     """Per-backend throughput diffs within one run.
 
-    Groups benchmarks named ``predictor_backend/<name>[/op]``,
-    ``entropy_backend/<name>[/op]``, and ``lossless_backend/<name>`` and
-    prints each backend's throughput relative to the stage's default
-    (interp / huffman / lz), so the backend trade is visible without
-    cross-referencing absolute numbers. Informational only — never fails
-    the run.
+    Groups benchmarks named ``predictor_backend/<name>[/op]`` and
+    ``lossless_backend/<name>`` and prints each backend's throughput
+    relative to the stage's default (interp / lz), so the backend trade is
+    visible without cross-referencing absolute numbers. Informational only —
+    never fails the run.
     """
     defaults = {
         "predictor_backend": "interp",
-        "entropy_backend": "huffman",
         "lossless_backend": "lz",
     }
     groups = {}

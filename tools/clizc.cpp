@@ -60,7 +60,7 @@ const CancelToken* governor_cancel() { return g_governed ? &g_cancel : nullptr; 
                                  via `extract --region` without touching
                                  the rest of the stream)
                    [--predictor interp|lorenzo1|lorenzo2|regression]
-                   [--entropy huffman|tans] [--lossless lz|store]
+                   [--lossless lz|store]
                    (cliz only: force a stage backend; without these flags
                     the tuner picks the best backends per stream)
                    [--verify]   (cliz only: decode-and-check the bound
@@ -304,7 +304,6 @@ int cmd_compress(Args& args) {
   bool chunked = false;
   DimVec tile;
   std::optional<PredictorBackend> predictor;
-  std::optional<EntropyBackend> entropy;
   std::optional<LosslessBackend> lossless;
 
   while (!args.done()) {
@@ -348,11 +347,6 @@ int cmd_compress(Args& args) {
       if (!predictor.has_value()) {
         usage("--predictor expects interp, lorenzo1, lorenzo2 or regression");
       }
-    } else if (opt == "--entropy" || opt.rfind("--entropy=", 0) == 0) {
-      const std::string v =
-          opt == "--entropy" ? args.next("entropy backend") : opt.substr(10);
-      entropy = parse_entropy_backend(v);
-      if (!entropy.has_value()) usage("--entropy expects huffman or tans");
     } else if (opt == "--lossless" || opt.rfind("--lossless=", 0) == 0) {
       const std::string v =
           opt == "--lossless" ? args.next("lossless backend") : opt.substr(11);
@@ -376,9 +370,8 @@ int cmd_compress(Args& args) {
   if (frame_passes && codec != "cliz") {
     usage("--frame-passes is only supported with -c cliz");
   }
-  if ((predictor.has_value() || entropy.has_value() || lossless.has_value()) &&
-      codec != "cliz") {
-    usage("--predictor/--entropy/--lossless are only supported with -c cliz");
+  if ((predictor.has_value() || lossless.has_value()) && codec != "cliz") {
+    usage("--predictor/--lossless are only supported with -c cliz");
   }
   ClizOptions cliz_opts;
   // Flows into autotune trials, chunked workers and the direct codec, so
@@ -387,12 +380,11 @@ int cmd_compress(Args& args) {
   cliz_opts.verify_encode = verify;
   cliz_opts.frame_passes = frame_passes;
   if (predictor.has_value()) cliz_opts.predictor = *predictor;
-  if (entropy.has_value()) cliz_opts.entropy = *entropy;
   if (lossless.has_value()) cliz_opts.lossless = *lossless;
   // A user-forced backend is final; otherwise the tuner trials that axis of
   // the grid and its choice is adopted below.
   const bool tune_predictor = !predictor.has_value();
-  const bool tune_backends = !entropy.has_value() && !lossless.has_value();
+  const bool tune_backends = !lossless.has_value();
 
   if (f64) {
     const auto data = load_raw_t<double>(input, *dims);
@@ -429,10 +421,7 @@ int cmd_compress(Args& args) {
       opts.consider_predictors = tune_predictor;
       const auto tuned = autotune(downcast, eb, mask_ptr, opts);
       if (tune_predictor) cliz_opts.predictor = tuned.best_predictor;
-      if (tune_backends) {
-        cliz_opts.entropy = tuned.best_entropy;
-        cliz_opts.lossless = tuned.best_lossless;
-      }
+      if (tune_backends) cliz_opts.lossless = tuned.best_lossless;
       cliz_opts.frame_passes = tuned.best_frame_passes;
       if (show_stats) {
         std::fprintf(stderr, "autotune: %s\n", tuned.to_json().c_str());
@@ -492,19 +481,15 @@ int cmd_compress(Args& args) {
     opts.consider_predictors = tune_predictor;
     const auto tuned = autotune(data, eb, mask_ptr, opts);
     if (tune_predictor) cliz_opts.predictor = tuned.best_predictor;
-    if (tune_backends) {
-      cliz_opts.entropy = tuned.best_entropy;
-      cliz_opts.lossless = tuned.best_lossless;
-    }
+    if (tune_backends) cliz_opts.lossless = tuned.best_lossless;
     // The tuner keeps framing only when the sampled offset-table overhead
     // stays within the budget (never turns it *on* unrequested).
     cliz_opts.frame_passes = tuned.best_frame_passes;
     std::fprintf(stderr,
-                 "tuned pipeline: %s [predictor=%s entropy=%s lossless=%s] "
+                 "tuned pipeline: %s [predictor=%s lossless=%s] "
                  "(%zu candidates, %.2f s)\n",
                  tuned.best.label().c_str(),
                  predictor_backend_name(cliz_opts.predictor),
-                 entropy_backend_name(cliz_opts.entropy),
                  lossless_backend_name(cliz_opts.lossless),
                  tuned.candidates.size(), tuned.tuning_seconds);
     if (show_stats) {
@@ -850,7 +835,6 @@ int cmd_archive_create(Args& args) {
       const auto tuned = autotune(data, eb, mask_ptr, opts);
       ClizOptions var_opts;
       var_opts.predictor = tuned.best_predictor;
-      var_opts.entropy = tuned.best_entropy;
       var_opts.lossless = tuned.best_lossless;
       writer.add_variable(name, data, eb, tuned.best, mask_ptr,
                           {{"source", file},
