@@ -20,7 +20,6 @@ extern "C" int LLVMFuzzerTestOneInput(const std::uint8_t* data,
   limits.max_output_bytes = std::uint64_t{1} << 26;  // 64 MiB
   limits.max_extents = std::uint64_t{1} << 24;
   limits.max_chunks = 1u << 12;
-  limits.max_frame_segments = 1u << 14;
   limits.max_side_block_bytes = std::uint64_t{1} << 24;
   try {
     if (cliz::is_chunked_stream(stream)) {

@@ -30,8 +30,6 @@ struct ResourceLimits {
   std::uint64_t max_extents = std::uint64_t{1} << 33;
   /// Chunk count a CLK2 frame may declare.
   std::uint64_t max_chunks = std::uint64_t{1} << 20;
-  /// Segments one framed entropy container may declare.
-  std::uint64_t max_frame_segments = std::uint64_t{1} << 22;
   /// Predictor side-block budget (e.g. regression coefficient bytes
   /// implied by the declared block side over the stream's shape).
   std::uint64_t max_side_block_bytes = std::uint64_t{1} << 31;  // 2 GiB
@@ -50,7 +48,7 @@ struct ResourceLimits {
 
 /// Cooperative cancellation with an optional deadline. A server thread (or
 /// signal handler) calls cancel(); workers inside parallel_for bodies call
-/// check() at chunk/line/segment granularity and unwind with kCancelled /
+/// check() at chunk/line/fetch granularity and unwind with kCancelled /
 /// kDeadlineExceeded within one granule. The token is shared by pointer
 /// (const CancelToken*) so one token can govern a whole request tree;
 /// nullptr everywhere means "never cancelled" at zero cost.

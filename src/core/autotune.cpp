@@ -377,33 +377,6 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
     }
   }
 
-  // Framing phase: only when the caller asked for per-pass framing. Framing
-  // trades an offset table for parallel decode, so it never wins on ratio —
-  // the tuner's job here is the reverse: confirm the table overhead on the
-  // sample stays inside frame_overhead_budget, and tune framing *off* when
-  // it does not.
-  result.best_frame_passes = opts.codec.frame_passes;
-  if (opts.consider_framing && opts.codec.frame_passes) {
-    const SampledData* s = grid_sample;
-    ClizOptions codec = opts.codec;
-    codec.predictor = result.best_predictor;
-    codec.lossless = result.best_lossless;
-    codec.frame_passes = true;
-    const ClizCompressor framed_comp(result.best, codec);
-    result.framed_sample_bytes =
-        framed_comp.compress(s->data, abs_error_bound, s->mask_ptr(), pool[0])
-            .size();
-    codec.frame_passes = false;
-    const ClizCompressor serial_comp(result.best, codec);
-    result.serial_sample_bytes =
-        serial_comp.compress(s->data, abs_error_bound, s->mask_ptr(), pool[0])
-            .size();
-    result.best_frame_passes =
-        static_cast<double>(result.framed_sample_bytes) <=
-        static_cast<double>(result.serial_sample_bytes) *
-            (1.0 + opts.frame_overhead_budget);
-  }
-
   result.tuning_seconds = timer.seconds();
   return result;
 }
@@ -413,10 +386,9 @@ std::string AutotuneResult::to_json() const {
   std::string out = "{";
   std::snprintf(buf, sizeof(buf),
                 "\"best_predictor\":\"%s\",\"best_lossless\":\"%s\","
-                "\"best_frame_passes\":%s,\"best_estimated_ratio\":%.4f",
+                "\"best_estimated_ratio\":%.4f",
                 predictor_backend_name(best_predictor),
-                lossless_backend_name(best_lossless),
-                best_frame_passes ? "true" : "false", best_estimated_ratio);
+                lossless_backend_name(best_lossless), best_estimated_ratio);
   out += buf;
   out += ",\"predictor_candidates\":{";
   for (std::size_t i = 0; i < predictor_candidates.size(); ++i) {

@@ -54,21 +54,6 @@ struct AutotuneOptions {
   /// rather than multiplicative (8). Ties keep the default (interpolation =
   /// the golden byte-identical stream).
   bool consider_predictors = true;
-  /// After the backend grids, trial the per-pass entropy framing container
-  /// (ClizOptions::frame_passes) against the serial layout with the winning
-  /// predictor/lossless choice. Framing buys parallel decode at the
-  /// cost of an offset table, so it never wins on ratio alone; the phase
-  /// only runs when the caller asked for framing (codec.frame_passes) and
-  /// tunes it *off* again when the table overhead on the sample exceeds
-  /// frame_overhead_budget.
-  bool consider_framing = true;
-  /// Largest acceptable relative size growth of the framed *sampled* stream
-  /// over the serial one before the tuner drops framing. The per-pass table
-  /// cost is fixed, so it is over-represented on the small trial stream
-  /// (measured ~70x the full-stream overhead at the default sampling rate);
-  /// the default tolerates that inflation while still catching streams whose
-  /// framing genuinely costs ratio.
-  double frame_overhead_budget = 0.05;
   /// Codec options forwarded to the trial compressions. The lossless field
   /// seeds the backend grid's baseline (and is the final choice when
   /// consider_backends is false).
@@ -120,14 +105,9 @@ struct AutotuneResult {
   /// Every lossless backend tested on `best`, in trial order (empty when
   /// consider_backends is false).
   std::vector<BackendCandidate> backend_candidates;
-  /// Whether the tuned configuration keeps per-pass entropy framing (only
-  /// ever true when codec.frame_passes was requested and the framed trial
-  /// stayed within frame_overhead_budget of the serial one on the sample).
+  /// Always false: the per-pass framed entropy container is retired. The
+  /// field stays for source compatibility only.
   bool best_frame_passes = false;
-  /// Sampled stream sizes of the framing trial (0 when the phase did not
-  /// run): the framed/serial byte counts behind the best_frame_passes call.
-  std::size_t framed_sample_bytes = 0;
-  std::size_t serial_sample_bytes = 0;
   double tuning_seconds = 0.0;
   std::size_t sample_points = 0;
   /// FFT period estimate over the probed rows (nullopt: not periodic or
@@ -136,7 +116,7 @@ struct AutotuneResult {
 
   /// Single JSON object with the chosen backends and the per-backend
   /// candidate ratios of both grids (keys stable for the bench tooling):
-  /// {"best_predictor":..., "best_lossless":..., "best_frame_passes":...,
+  /// {"best_predictor":..., "best_lossless":..., "best_estimated_ratio":...,
   ///  "predictor_candidates":{name: ratio, ...},
   ///  "backend_candidates":{lossless name: ratio, ...}}
   [[nodiscard]] std::string to_json() const;

@@ -105,7 +105,10 @@ void write_header(const NdArray<T>& data, double abs_error_bound,
 /// compressed recursively (at half the bound, through ctx.child()), its
 /// reconstruction subtracted from `work`, and the residual bound tightened
 /// by the float-rounding slack of the add-back. Returns the residual
-/// quantizer bound.
+/// quantizer bound, or 0 when the add-back cannot honour the bound: a
+/// valid point is NaN/Inf (it must come back bit for bit, and template +
+/// residual would not give its bits back), or the rounding slack exceeds
+/// half the bound (magnitudes near the type's range).
 template <typename T>
 double stage_periodic(NdArray<T>& work, double abs_error_bound,
                       const MaskMap* mask, const PipelineConfig& config,
@@ -114,6 +117,13 @@ double stage_periodic(NdArray<T>& work, double abs_error_bound,
   const auto t0 = Clock::now();
   auto& st = ctx.stats.at(CodecStage::kPeriodic);
   st.input_bytes = work.size() * sizeof(T);
+
+  double max_abs = 0.0;
+  for (std::size_t i = 0; i < work.size(); ++i) {
+    if (mask != nullptr && !mask->valid(i)) continue;
+    if (!std::isfinite(work[i])) return 0.0;
+    max_abs = std::max(max_abs, std::abs(static_cast<double>(work[i])));
+  }
 
   const auto tmpl =
       periodic_template(work, config.time_dim, config.period, mask);
@@ -137,16 +147,12 @@ double stage_periodic(NdArray<T>& work, double abs_error_bound,
       ctx.template_stream, ctx.child(), VectorBind<T>{&tmpl_recon});
   out.put_block(ctx.template_stream);
 
-  double max_abs = 0.0;
-  for (std::size_t i = 0; i < work.size(); ++i) {
-    if (mask != nullptr && !mask->valid(i)) continue;
-    max_abs = std::max(max_abs, std::abs(static_cast<double>(work[i])));
-  }
   subtract_template(work.data(), work.shape(), tmpl_recon.data(), tmpl_shape,
                     config.time_dim, mask);
   double max_res = 0.0;
   for (std::size_t i = 0; i < work.size(); ++i) {
     if (mask != nullptr && !mask->valid(i)) continue;
+    if (!std::isfinite(work[i])) return 0.0;  // template + residual overflow
     max_res = std::max(max_res, std::abs(static_cast<double>(work[i])));
   }
   // The decoder computes data = template + residual in the sample type, so
@@ -157,9 +163,11 @@ double stage_periodic(NdArray<T>& work, double abs_error_bound,
       4.0 * static_cast<double>(std::numeric_limits<T>::epsilon()) *
       (max_abs + max_res);
 
+  if (slack > abs_error_bound / 2.0) return 0.0;
+
   st.output_bytes = ctx.template_stream.size();
   st.seconds = seconds_since(t0);
-  return std::max(abs_error_bound / 2.0, abs_error_bound - slack);
+  return abs_error_bound - slack;
 }
 
 /// Stage 2 (kPredict): mask-aware prediction + linear-scale quantization
@@ -186,7 +194,6 @@ void stage_predict(NdArray<T>& work, double quant_eb, const MaskMap* mask,
   codes.clear();
   codes.reserve(work.size());
   outliers.clear();
-  ctx.fetch_marks.clear();
   const std::uint8_t* validity = mask != nullptr ? mask->data() : nullptr;
   const PredictorBackendOps& ops = predictor_backend_ops(options.predictor);
   if constexpr (std::is_same_v<T, float>) {
@@ -214,10 +221,9 @@ void stage_predict(NdArray<T>& work, double quant_eb, const MaskMap* mask,
 /// census of the raw codes lands in ctx.freq[0]. Either way the census
 /// yields the symbol-stream entropy recorded in ctx.stats.
 ///
-/// The stage opens with the entropy byte — (coder id << 1) | classified,
-/// with bit 7 flagging the per-pass framed container. The coder id is
-/// always 0 (Huffman) and framing is off by default, so default streams
-/// keep the historical 0/1 values byte-for-byte.
+/// The stage opens with the entropy byte — (coder id << 1) | classified.
+/// The coder id is always 0 (Huffman), so streams keep the historical 0/1
+/// values byte-for-byte.
 void stage_classify(const Shape& shape, const PipelineConfig& config,
                     const ClizOptions& options, CodecContext& ctx,
                     ByteWriter& out,
@@ -229,8 +235,7 @@ void stage_classify(const Shape& shape, const PipelineConfig& config,
 
   const std::size_t plane = classification_plane(shape);
   const bool classify = config.classify_bins && plane > 0;
-  out.put_u8(static_cast<std::uint8_t>((classify ? 1u : 0u) |
-                                       (options.frame_passes ? 0x80u : 0u)));
+  out.put_u8(classify ? 1u : 0u);
   std::size_t n_groups = 1;
 
   if (classify) {
@@ -292,7 +297,7 @@ void stage_classify(const Shape& shape, const PipelineConfig& config,
 /// Stage 4 (kEncode): multi-Huffman coding of the symbol stream. Trees are
 /// rebuilt in place from the stage-3 censuses (one per group, or the single
 /// tree in unclassified mode), serialized, and the symbol stream is
-/// bit-packed, serially or in the framed container.
+/// bit-packed as one payload.
 void stage_encode(const ClizOptions& options,
                   const std::optional<BinClassification>& classification,
                   CodecContext& ctx, ByteWriter& out) {
@@ -304,12 +309,7 @@ void stage_encode(const ClizOptions& options,
   const bool classified = classification.has_value();
   const std::size_t n_groups =
       classified ? options.classify.group_types() : 1;
-  if (options.frame_passes) {
-    framed_entropy_encode(classified, n_groups, ctx, out);
-  } else {
-    huffman_encode(classified, n_groups, ctx, out);
-  }
-  ctx.stats.frame_passes = options.frame_passes;
+  huffman_encode(classified, n_groups, ctx, out);
 
   st.output_bytes = out.size() - base;
   st.seconds = seconds_since(t0);
@@ -370,6 +370,15 @@ void compress_impl(const NdArray<T>& data, double abs_error_bound,
   if (periodic) {
     quant_eb =
         stage_periodic(work, abs_error_bound, mask, config, options, ctx, raw);
+    if (quant_eb == 0.0) {
+      // The periodic add-back cannot keep the bound for this data: encode
+      // it without periodicity (the header records period 0).
+      ctx.work<T>() = std::move(work).take_flat();
+      PipelineConfig flat = config;
+      flat.period = 0;
+      compress_impl(data, abs_error_bound, mask, flat, options, ctx, out);
+      return;
+    }
   }
   raw.put(quant_eb);
 
@@ -496,19 +505,22 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
   for (auto& v : outliers) v = in.get<T>();
   const std::size_t n_codes = static_cast<std::size_t>(in.get_varint());
   CLIZ_REQUIRE(n_codes <= shape.size(), "corrupt code count");
-  // Entropy byte: (coder id << 1) | classified, bit 7 = per-pass framed
-  // container. Id 0 is Huffman; id 1 is the retired tANS coder; any other
-  // id (e.g. a stream from a future version) is a clean error, never UB.
+  // Entropy byte: (coder id << 1) | classified, bit 7 = the retired
+  // per-pass framed container. Id 0 is Huffman; id 1 is the retired tANS
+  // coder; any other id (e.g. a stream from a future version) is a clean
+  // error, never UB.
   const std::uint8_t entropy_byte = in.get_u8();
   const bool classify = (entropy_byte & 1u) != 0;
-  const bool framed = (entropy_byte & 0x80u) != 0;
   const unsigned entropy_id = (entropy_byte >> 1) & 0x3Fu;
   CLIZ_REQUIRE_CODE(entropy_id != 1, kUnsupported,
                     "stream uses the retired tANS entropy backend (entropy "
                     "id 1); decode it with a build at or before commit "
                     "3f73614");
   CLIZ_REQUIRE(entropy_id == 0, "unknown entropy backend id");
-  ctx.stats.frame_passes = framed;
+  CLIZ_REQUIRE_CODE((entropy_byte & 0x80u) == 0, kUnsupported,
+                    "stream uses the retired per-pass framed entropy "
+                    "container (entropy byte bit 7); decode it with a build "
+                    "at or before commit 1f64e89");
   ctx.stats.lossless_backend =
       static_cast<std::uint8_t>(lossless_frame_backend(stream));
   ctx.stats.code_count = n_codes;
@@ -542,52 +554,19 @@ Shape decompress_core(std::span<const std::uint8_t> stream, CodecContext& ctx,
     entropy_state.escape =
         entropy_escape_symbol(radius, classification->params().j);
   }
-  if (framed) {
-    framed_entropy_parse(in, n_trees, n_codes, entropy_state);
-    ctx.stats.frame_segments = entropy_state.segments.size();
-  } else {
-    huffman_parse(in, n_trees, entropy_state);
-  }
+  huffman_parse(in, n_trees, entropy_state);
   ctx.stats.at(CodecStage::kEncode).seconds = seconds_since(t_tables);
-  // Batched symbol source for the quantization codes, classified or plain.
-  // The line-parallel decoder hands over a whole pass of target offsets at
-  // once. Serial streams drain one bitstream in order (the unclassified
-  // path runs through the multi-symbol fast-table decoder); framed streams
-  // split each fetch into the encoder-recorded segments and decode them on
-  // parallel workers, each with a private bit reader over its own payload
-  // slice and a disjoint offs/dst range.
-  std::size_t fetch_pos = 0;   // symbols consumed by earlier fetches
-  std::size_t seg_cursor = 0;  // segments consumed by earlier fetches
+  // Batched symbol source for the quantization codes, classified or plain:
+  // the line-parallel decoder hands over a whole pass of target offsets at
+  // once and the fetch drains the one bitstream in order (the unclassified
+  // path runs through the multi-symbol fast-table decoder).
   auto fetch_impl = [&](const std::uint64_t* offs, std::uint32_t* dst,
                         std::size_t n) {
     // Cancellation checkpoint at fetch (= pass/line-batch) granularity, so
-    // even the serial entropy path aborts within one decode batch.
+    // the entropy decode aborts within one decode batch.
     if (ctx.cancel != nullptr) ctx.cancel->check();
     decoded += n;
-    if (!framed) {
-      huffman_fetch(entropy_state, offs, dst, n);
-      return;
-    }
-    const auto segs = entropy_state.segments;
-    const std::size_t first = seg_cursor;
-    std::size_t covered = 0;
-    while (covered < n) {
-      CLIZ_REQUIRE(seg_cursor < segs.size() &&
-                       segs[seg_cursor].sym_base == fetch_pos + covered,
-                   "entropy framing misaligned with fetch");
-      covered += segs[seg_cursor].n_syms;
-      ++seg_cursor;
-    }
-    CLIZ_REQUIRE(covered == n, "entropy framing misaligned with fetch");
-    parallel_for_cancellable(first, seg_cursor, ctx.cancel, [&](std::size_t si) {
-      const FramedSegment& seg = segs[si];
-      const std::size_t rel = seg.sym_base - fetch_pos;
-      huffman_decode_segment(
-          entropy_state,
-          entropy_state.payload.subspan(seg.byte_off, seg.n_bytes),
-          offs + rel, dst + rel, seg.n_syms);
-    });
-    fetch_pos += n;
+    huffman_fetch(entropy_state, offs, dst, n);
   };
   const PredictorFetch fetch{
       &fetch_impl,
@@ -640,6 +619,9 @@ void compress_checked(const NdArray<T>& data, double abs_error_bound,
                       const MaskMap* mask, const PipelineConfig& config,
                       const ClizOptions& options, CodecContext& ctx,
                       std::vector<std::uint8_t>& out) {
+  CLIZ_REQUIRE_CODE(!options.frame_passes, kUnsupported,
+                    "ClizOptions::frame_passes requests the retired per-pass "
+                    "framed entropy container; leave it false");
   if (!options.verify_encode) {
     compress_impl(data, abs_error_bound, mask, config, options, ctx, out);
     return;

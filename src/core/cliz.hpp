@@ -45,13 +45,9 @@ struct ClizOptions {
   /// Lossless-stage backend wrapping the assembled stream (recorded by the
   /// lossless frame's mode byte).
   LosslessBackend lossless = LosslessBackend::kLz;
-  /// Per-pass entropy framing (recorded in bit 7 of the stream's entropy
-  /// byte): the entropy payload is split into independently decodable
-  /// segments aligned with the decoder's fetch batches, so decompression
-  /// entropy-decodes whole passes on parallel workers instead of draining
-  /// one serial bitstream. Costs a small offset table (the auto-tuner can
-  /// weigh that; see AutotuneOptions::consider_framing). Default off —
-  /// unframed streams stay byte-identical to the golden corpus.
+  /// Retired per-pass framed entropy container. Must stay false: every
+  /// encode entry point refuses `true` with ErrorCode::kUnsupported before
+  /// writing any output. The field stays for source compatibility only.
   bool frame_passes = false;
   /// Encode-side verification: after compressing, decode the stream and
   /// confirm every valid point honours the error bound. On a violation (or
@@ -65,7 +61,7 @@ struct ClizOptions {
   /// with ErrorCode::kLimitExceeded instead of exhausting memory. Defaults
   /// are generous — trusted CLI use never hits them.
   ResourceLimits limits;
-  /// Cooperative cancellation/deadline token, checked at chunk/line/segment
+  /// Cooperative cancellation/deadline token, checked at chunk/line/fetch
   /// granularity; nullptr = never cancelled. The pointee must outlive the
   /// calls it governs.
   const CancelToken* cancel = nullptr;

@@ -9,7 +9,6 @@
 #include "src/common/bytestream.hpp"
 #include "src/common/governor.hpp"
 #include "src/core/pipeline.hpp"
-#include "src/core/stage_backends.hpp"
 #include "src/core/stage_stats.hpp"
 #include "src/huffman/huffman.hpp"
 #include "src/lossless/lossless.hpp"
@@ -89,19 +88,6 @@ class CodecContext {
   std::vector<HuffmanCodec> trees;
   ByteWriter tree_bytes;  ///< staging for one serialized tree
   BitWriter bits;         ///< entropy-coded payload staging
-
-  // --- per-pass entropy framing (ClizOptions::frame_passes) ---
-  /// Encode: cumulative code counts at each decode-fetch boundary, recorded
-  /// by the predictor encode hooks (one per interp pass + anchor, one for
-  /// the single-batch raster predictors). Segment boundaries of the framed
-  /// container sub-split these intervals.
-  std::vector<std::size_t> fetch_marks;
-  /// Segment table of the framed container (encode staging and the parsed
-  /// decode-side table).
-  std::vector<FramedSegment> frame_segments;
-  ByteWriter frame_tables;  ///< framed encode: staged coding tables
-  /// Framed encode: concatenated byte-aligned per-segment payloads.
-  std::vector<std::uint8_t> frame_payload;
 
   // --- stream assembly ---
   ByteWriter raw_stream;  ///< the assembled pre-lossless stream

@@ -25,19 +25,6 @@ inline std::uint32_t entropy_escape_symbol(std::uint32_t radius, unsigned j) {
   return 2 * radius + 2 * j + 2;
 }
 
-/// One independently decodable slice of a framed entropy payload
-/// (ClizOptions::frame_passes): `n_syms` symbols starting at stream
-/// position `sym_base`, byte-aligned at `byte_off` in the concatenated
-/// payload block. Segment boundaries are sub-splits of the encoder's
-/// recorded decode-fetch intervals, so a segment never straddles a fetch
-/// call and whole segments can decode on parallel_for workers.
-struct FramedSegment {
-  std::size_t sym_base = 0;  ///< cumulative symbol index of the first symbol
-  std::size_t n_syms = 0;    ///< symbols in this segment (>= 1)
-  std::size_t byte_off = 0;  ///< byte offset into the payload block
-  std::size_t n_bytes = 0;   ///< payload bytes of this segment
-};
-
 /// Decode-side state of one entropy stream, shared across fetch calls. The
 /// classification fields are filled by the caller; `bits` is set up by
 /// huffman_parse.
@@ -48,18 +35,12 @@ struct EntropyDecodeState {
   const BinClassification* classification = nullptr;
   std::size_t plane = 0;       ///< classification column period
   std::uint32_t escape = 0;    ///< outlier escape symbol
-  // --- framed container only (entropy byte bit 7) ---
-  /// Parsed segment table (backed by ctx.frame_segments).
-  std::span<const FramedSegment> segments;
-  /// The concatenated per-segment payload block.
-  std::span<const std::uint8_t> payload;
 };
 
 // --- entropy stage: canonical multi-Huffman --------------------------------
 // The coding tables (one per classification group, or the single table in
 // unclassified mode) are rebuilt in place from the stage-3 censuses in
-// ctx.freq into ctx.trees. A Huffman payload is byte-aligned and stateless
-// between symbols, so a framed segment is just a symbol range.
+// ctx.freq into ctx.trees.
 
 /// Serializes the per-group trees and the symbol payload (ctx.shifted /
 /// ctx.group when classified, ctx.codes otherwise).
@@ -71,39 +52,11 @@ void huffman_encode(bool classified, std::size_t n_groups, CodecContext& ctx,
 void huffman_parse(ByteReader& in, std::size_t n_tables,
                    EntropyDecodeState& state);
 
-/// Decodes the next `n` symbols of the serial payload into `dst`; in
+/// Decodes the next `n` symbols of the payload into `dst`; in
 /// classified mode `offs` locates each point's column for group/shift
 /// resolution.
 void huffman_fetch(EntropyDecodeState& state, const std::uint64_t* offs,
                    std::uint32_t* dst, std::size_t n);
-
-/// Decodes one whole framed segment from its payload slice. Thread-safe:
-/// reads `state` and the context's trees const-only, with a private bit
-/// reader per call, so segments decode concurrently.
-void huffman_decode_segment(const EntropyDecodeState& state,
-                            std::span<const std::uint8_t> payload,
-                            const std::uint64_t* offs, std::uint32_t* dst,
-                            std::size_t n);
-
-/// Framed entropy container (selected by bit 7 of the entropy byte),
-/// written in place of the serial trees + payload:
-///   u8 layout id (currently 1)
-///   varint n_segments
-///   n_segments x (varint n_syms, varint n_bytes)
-///   coding tables (byte-identical to serial mode's prefix)
-///   block: concatenated byte-aligned per-segment payloads
-/// Segments are sub-splits of ctx.fetch_marks (the decode-fetch intervals
-/// the predictor encode recorded), so the decoder can hand whole segments
-/// to parallel workers inside each fetch. Sets ctx.stats.frame_segments.
-void framed_entropy_encode(bool classified, std::size_t n_groups,
-                           CodecContext& ctx, ByteWriter& out);
-
-/// Parses and validates the framed container written by
-/// framed_entropy_encode: unknown layout ids, segment counts/bounds that do
-/// not tile [0, n_codes), and payload-size mismatches are all clean
-/// cliz::Errors. Fills state.segments/payload.
-void framed_entropy_parse(ByteReader& in, std::size_t n_tables,
-                          std::size_t n_codes, EntropyDecodeState& state);
 
 /// Type-erased symbol source handed to the predictor decode hooks (plain
 /// function pointer + state, matching the registry's no-virtuals shape).

@@ -42,8 +42,6 @@ void StageStats::accumulate(const StageStats& other) {
   // Entropy does not sum; keep the outermost (residual) stream's value.
   if (code_entropy_bits == 0.0) code_entropy_bits = other.code_entropy_bits;
   // Backend ids describe the outermost stream and are not merged.
-  frame_passes = frame_passes || other.frame_passes;
-  frame_segments += other.frame_segments;
   chunks_requested += other.chunks_requested;
   chunks_effective += other.chunks_effective;
   tile_cache_hits += other.tile_cache_hits;
@@ -79,11 +77,6 @@ std::string StageStats::to_text() const {
                     static_cast<LosslessBackend>(lossless_backend)),
                 simd_tier_name(static_cast<SimdTier>(simd_tier)));
   out += buf;
-  if (frame_passes) {
-    std::snprintf(buf, sizeof(buf), "framing: per-pass (%zu segments)\n",
-                  frame_segments);
-    out += buf;
-  }
   if (chunks_requested > 0) {
     std::snprintf(buf, sizeof(buf), "chunks: requested=%zu effective=%zu%s\n",
                   chunks_requested, chunks_effective,
@@ -124,8 +117,7 @@ std::string StageStats::to_json() const {
                 "\"verified\":%s,\"verify_downgrades\":%zu,"
                 "\"verify_seconds\":%.6f,\"threads_used\":%d,"
                 "\"predictor_backend\":\"%s\",\"lossless_backend\":\"%s\","
-                "\"frame_passes\":%s,"
-                "\"frame_segments\":%zu,\"chunks_requested\":%zu,"
+                "\"chunks_requested\":%zu,"
                 "\"chunks_effective\":%zu,\"tile_cache_hits\":%zu,"
                 "\"tile_cache_misses\":%zu,\"tile_cache_evictions\":%zu,"
                 "\"simd_tier\":\"%s\"}",
@@ -136,7 +128,6 @@ std::string StageStats::to_json() const {
                     static_cast<PredictorBackend>(predictor_backend)),
                 lossless_backend_name(
                     static_cast<LosslessBackend>(lossless_backend)),
-                frame_passes ? "true" : "false", frame_segments,
                 chunks_requested, chunks_effective, tile_cache_hits,
                 tile_cache_misses, tile_cache_evictions,
                 simd_tier_name(static_cast<SimdTier>(simd_tier)));

@@ -70,12 +70,6 @@ struct StageStats {
   /// Lossless-stage backend id (LosslessBackend wire values): the requested
   /// backend on encode, the one implied by the frame's mode byte on decode.
   std::uint8_t lossless_backend = 0;
-  /// True when the stream uses the per-pass framed entropy container
-  /// (ClizOptions::frame_passes; bit 7 of the entropy byte on decode).
-  bool frame_passes = false;
-  /// Independently decodable entropy segments of the framed container
-  /// (0 for serial streams).
-  std::size_t frame_segments = 0;
   /// Chunked frames: chunks (or tiles) the caller asked for. Zero when the
   /// call was not chunked.
   std::size_t chunks_requested = 0;

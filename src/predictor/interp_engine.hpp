@@ -479,11 +479,6 @@ FittingKind probe_pass_fit(const T* data, const AxisSpec& ax,
 /// stage. Emits (offset, code) pairs by appending to `offsets`/`codes` and
 /// outliers/pass_fits exactly as the serial engines' sink order would —
 /// byte-identical for every thread count, including masked inputs.
-///
-/// When `fetch_marks` is non-null, the cumulative code count is recorded at
-/// every boundary the decode side fetches at — after the anchor and after
-/// each non-empty pass (interp_decode_lines pulls one batch per pass). The
-/// per-pass entropy framing splits its segments on these marks.
 template <typename T>
 void interp_encode_lines(T* data, std::span<const AxisSpec> axes,
                          std::span<const std::size_t> order, bool dynamic,
@@ -494,12 +489,10 @@ void interp_encode_lines(T* data, std::span<const AxisSpec> axes,
                          std::vector<std::uint32_t>& codes,
                          std::vector<T>& outliers,
                          std::vector<std::uint8_t>& pass_fits,
-                         InterpLineScratch& scratch,
-                         std::vector<std::size_t>* fetch_marks = nullptr) {
+                         InterpLineScratch& scratch) {
   if (validity == nullptr || validity[0] != 0) {
     offsets.push_back(0);
     codes.push_back(quantizer.quantize(data[0], T{0}, outliers));
-    if (fetch_marks != nullptr) fetch_marks->push_back(codes.size());
   }
   auto& flat_blocks = scratch.flat_blocks;
   auto& outl_blocks = scratch.block_outliers<T>();
@@ -559,7 +552,6 @@ void interp_encode_lines(T* data, std::span<const AxisSpec> axes,
       outliers.insert(outliers.end(), outl_blocks[b].begin(),
                       outl_blocks[b].end());
     }
-    if (fetch_marks != nullptr) fetch_marks->push_back(codes.size());
   });
 }
 

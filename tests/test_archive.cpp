@@ -196,6 +196,34 @@ TEST(Archive, DuplicateNameRejected) {
   EXPECT_THROW(w.add_variable_with("sz3", "X", data, 1e-3), Error);
 }
 
+TEST(Archive, FramePassesIsUnsupportedOnEncode) {
+  // A CliZ variable asking for the retired per-pass framed entropy
+  // container is refused and leaves no record behind, plain or tiled.
+  TempFile file("framed");
+  const auto data = smooth_array({12, 10, 14}, 9);
+  ClizOptions opts;
+  opts.frame_passes = true;
+  {
+    ArchiveWriter w(file.path());
+    for (const bool tiled : {false, true}) {
+      if (tiled) w.set_tile({4, 0, 0});
+      try {
+        w.add_variable("T", data, 1e-3, PipelineConfig::defaults(3), nullptr,
+                       {}, opts);
+        ADD_FAILURE() << "framed variable accepted";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), ErrorCode::kUnsupported) << e.what();
+      }
+    }
+    EXPECT_EQ(w.variable_count(), 0u);
+    w.add_variable("T", data, 1e-3, PipelineConfig::defaults(3));
+    w.finish();
+  }
+  ArchiveReader r(file.path());
+  EXPECT_EQ(r.variables().size(), 1u);
+  EXPECT_LE(error_stats(data.flat(), r.read("T").flat()).max_abs_error, 1e-3);
+}
+
 TEST(Archive, UnknownVariableThrows) {
   TempFile file("unknown");
   {

@@ -231,7 +231,6 @@ TEST(Autotune, CesmTBackendPickWithinOnePercentOfBestForcedBackend) {
     ClizOptions forced;
     forced.predictor = tuned.best_predictor;
     forced.lossless = lossless;
-    forced.frame_passes = tuned.best_frame_passes;
     best_forced = std::min(best_forced, size_with(forced));
   }
   const std::size_t tuned_size = size_with(adopted);

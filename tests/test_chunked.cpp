@@ -220,5 +220,33 @@ TEST(Chunked, MismatchedMaskShapeThrows) {
                Error);
 }
 
+TEST(Chunked, FramePassesIsUnsupportedOnEncode) {
+  // The retired per-pass framed entropy container is refused for slab and
+  // tiled frames alike, before the caller's buffer is touched.
+  NdArray<float> data(Shape({16, 8, 6}));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = 0.02f * static_cast<float>(i % 31);
+  }
+  ChunkedOptions slabs;
+  slabs.chunks = 4;
+  slabs.codec.frame_passes = true;
+  ChunkedOptions tiles = slabs;
+  tiles.tile = DimVec{4, 0, 0};
+  for (const ChunkedOptions& opts : {slabs, tiles}) {
+    try {
+      (void)chunked_compress(data, 1e-3, PipelineConfig::defaults(3), nullptr,
+                             opts);
+      ADD_FAILURE() << "framed chunked encode accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUnsupported) << e.what();
+    }
+    std::vector<std::uint8_t> out{7, 7};
+    EXPECT_THROW(chunked_compress_into(data, 1e-3, PipelineConfig::defaults(3),
+                                       nullptr, opts, out),
+                 Error);
+    EXPECT_EQ(out, (std::vector<std::uint8_t>{7, 7}));
+  }
+}
+
 }  // namespace
 }  // namespace cliz

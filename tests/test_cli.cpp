@@ -403,28 +403,45 @@ TEST_F(CliTest, BadInvocationsFailCleanly) {
   EXPECT_EQ(run_exit("compress " + path("h.f32") + " -d 24,48,48 -o " +
                      path("x") + " -r 1e-3 --entropy huffman"),
             2);
+  // The per-pass framed entropy container is retired with its flag.
+  EXPECT_EQ(run_exit("compress " + path("h.f32") + " -d 24,48,48 -o " +
+                     path("x") + " -r 1e-3 --frame-passes"),
+            2);
+}
+
+/// Decompressing a frozen stream of a retired format must exit 8
+/// (Unsupported) with a message naming the retired feature, and write no
+/// output file.
+void expect_retired_fixture(const std::string& out, const std::string& err,
+                            const char* fixture, const char* feature) {
+  SCOPED_TRACE(fixture);
+  const std::string cmd = std::string(CLIZC_PATH) + " decompress " +
+                          CLIZ_GOLDEN_DIR + "/" + fixture + " -o " + out +
+                          " >/dev/null 2>" + err;
+  const int status = std::system(cmd.c_str());
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), 8);
+  std::ifstream in(err);
+  const std::string message{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+  EXPECT_NE(message.find("[Unsupported]"), std::string::npos) << message;
+  EXPECT_NE(message.find(feature), std::string::npos) << message;
+  EXPECT_FALSE(fs::exists(out));
 }
 
 TEST_F(CliTest, RetiredTansStreamsExitUnsupported) {
   // Frozen streams of the retired tANS entropy coder: a plain stream and a
-  // tiled CLK3 frame. Both decode paths must exit 8 (Unsupported) with a
-  // message naming tANS, and write no output file.
+  // tiled CLK3 frame.
   for (const char* fixture : {"tans_plain.cliz", "tans_tiled.clks"}) {
-    SCOPED_TRACE(fixture);
-    const std::string out = path("t.f32");
-    const std::string err = path("t.err");
-    const std::string cmd = std::string(CLIZC_PATH) + " decompress " +
-                            CLIZ_GOLDEN_DIR + "/" + fixture + " -o " + out +
-                            " >/dev/null 2>" + err;
-    const int status = std::system(cmd.c_str());
-    ASSERT_TRUE(WIFEXITED(status));
-    EXPECT_EQ(WEXITSTATUS(status), 8);
-    std::ifstream in(err);
-    const std::string message{std::istreambuf_iterator<char>(in),
-                              std::istreambuf_iterator<char>()};
-    EXPECT_NE(message.find("[Unsupported]"), std::string::npos) << message;
-    EXPECT_NE(message.find("tANS"), std::string::npos) << message;
-    EXPECT_FALSE(fs::exists(out));
+    expect_retired_fixture(path("t.f32"), path("t.err"), fixture, "tANS");
+  }
+}
+
+TEST_F(CliTest, RetiredFramedStreamsExitUnsupported) {
+  // Frozen streams of the retired per-pass framed entropy container: a
+  // plain stream and a tiled CLK3 frame.
+  for (const char* fixture : {"framed_plain.cliz", "framed_tiled.clks"}) {
+    expect_retired_fixture(path("f.f32"), path("f.err"), fixture, "framed");
   }
 }
 

@@ -469,5 +469,86 @@ TEST(Cliz, VerifiedEncodeKeepsSignallingNaNBits) {
   }
 }
 
+TEST(Cliz, FramePassesIsUnsupportedOnEncode) {
+  // The per-pass framed entropy container is retired: asking for it is
+  // refused before any output is written, on every encode entry point.
+  NdArray<float> data(Shape({12, 10, 8}));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = 0.01f * static_cast<float>(i % 29);
+  }
+  NdArray<double> data64(data.shape());
+  for (std::size_t i = 0; i < data.size(); ++i) data64[i] = data[i];
+  ClizOptions opts;
+  opts.frame_passes = true;
+  const ClizCompressor codec(PipelineConfig::defaults(3), opts);
+  const auto expect_unsupported = [](auto&& encode) {
+    try {
+      encode();
+      ADD_FAILURE() << "framed encode accepted";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::kUnsupported) << e.what();
+    }
+  };
+  expect_unsupported([&] { (void)codec.compress(data, 1e-3); });
+  expect_unsupported([&] { (void)codec.compress(data64, 1e-3); });
+  CodecContext ctx;
+  std::vector<std::uint8_t> out{1, 2, 3};
+  expect_unsupported(
+      [&] { codec.compress_into(data, 1e-3, nullptr, ctx, out); });
+  EXPECT_EQ(out, (std::vector<std::uint8_t>{1, 2, 3}));
+  ClizOptions verified = opts;
+  verified.verify_encode = true;
+  expect_unsupported([&] {
+    (void)ClizCompressor(PipelineConfig::defaults(3), verified)
+        .compress(data, 1e-3);
+  });
+}
+
+TEST(Cliz, PeriodicPipelineDropsPeriodForNonFiniteOrHugeValues) {
+  // Template + residual cannot give back a NaN/Inf's bits, and near the
+  // float range its rounding exceeds the bound: such data is encoded
+  // without periodicity (the same stream as period 0) and round-trips.
+  PipelineConfig periodic = PipelineConfig::defaults(3);
+  periodic.period = 6;
+  periodic.time_dim = 0;
+  PipelineConfig flat = periodic;
+  flat.period = 0;
+  NdArray<float> data(Shape({24, 6, 5}));
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<float>((i / 30) % 6) +
+              0.01f * static_cast<float>(i % 7);
+  }
+  const auto finite_stream = ClizCompressor(periodic).compress(data, 1e-3);
+  EXPECT_NE(finite_stream, ClizCompressor(flat).compress(data, 1e-3))
+      << "finite data keeps its period";
+
+  // First +-FLT_MAX alone (the rounding slack drops the period), then
+  // signalling NaN and +-Inf on top.
+  const std::uint32_t special[] = {0x7F7FFFFFu, 0xFF7FFFFFu, 0x7F800001u,
+                                   0x7F800000u, 0xFF800000u};
+  const std::size_t where[] = {500, 719, 3, 100, 361};
+  for (const std::size_t n_special : {std::size_t{2}, std::size(special)}) {
+    SCOPED_TRACE(n_special);
+    for (std::size_t k = 0; k < n_special; ++k) {
+      std::memcpy(&data[where[k]], &special[k], sizeof(float));
+    }
+    const auto stream = ClizCompressor(periodic).compress(data, 1e-3);
+    EXPECT_EQ(stream, ClizCompressor(flat).compress(data, 1e-3));
+    const auto recon = ClizCompressor::decompress(stream);
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      std::uint32_t got = 0;
+      std::uint32_t want = 0;
+      std::memcpy(&got, &recon[i], sizeof(float));
+      std::memcpy(&want, &data[i], sizeof(float));
+      if (std::isfinite(data[i]) && std::abs(data[i]) < 1e30f) {
+        EXPECT_LE(std::abs(static_cast<double>(recon[i]) - data[i]), 1e-3)
+            << i;
+      } else {
+        EXPECT_EQ(got, want) << i;
+      }
+    }
+  }
+}
+
 }  // namespace
 }  // namespace cliz

@@ -485,48 +485,6 @@ TEST(FaultLimits, ChunkedAggregateOutputBudget) {
   EXPECT_NO_THROW((void)chunked_decompress(stream));
 }
 
-TEST(FaultLimits, FramedSegmentCountSplice) {
-  // Build a framed stream, then inflate its declared segment count: the
-  // governor must refuse before the segment table reserves.
-  NdArray<float> data(Shape({64, 48}));
-  Rng rng(4242);
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data[i] = static_cast<float>(0.02 * static_cast<double>(i % 97) +
-                                 0.01 * rng.normal());
-  }
-  ClizOptions framed_opts;
-  framed_opts.frame_passes = true;
-  const auto serial_raw = lossless_decompress(
-      ClizCompressor(PipelineConfig::defaults(2)).compress(data, 1e-3));
-  const auto framed_raw = lossless_decompress(
-      ClizCompressor(PipelineConfig::defaults(2), framed_opts)
-          .compress(data, 1e-3));
-  const std::size_t pos = fault::first_divergence(serial_raw, framed_raw);
-  ASSERT_LT(pos + 1, framed_raw.size());
-  ASSERT_EQ(framed_raw[pos] & 0x80u, 0x80u);  // framed bit
-  ASSERT_EQ(framed_raw[pos + 1], 1u);         // layout id
-  const std::size_t segs_at = pos + 2;
-
-  std::vector<std::uint8_t> bomb(
-      framed_raw.begin(), framed_raw.begin() + static_cast<std::ptrdiff_t>(segs_at));
-  put_varint(bomb, 1ull << 40);  // > max_frame_segments (2^22)
-  bomb.insert(bomb.end(),
-              framed_raw.begin() +
-                  static_cast<std::ptrdiff_t>(varint_end(framed_raw, segs_at)),
-              framed_raw.end());
-  const auto wrapped = lossless_compress(bomb);
-  expect_limit_refusal([&] { (void)ClizCompressor::decompress(wrapped); },
-                       wrapped.size(), (std::uint64_t{1} << 40));
-
-  // Tightened per-request budget refuses even the honest stream.
-  const auto honest = lossless_compress(framed_raw);
-  CodecContext ctx;
-  ctx.limits.max_frame_segments = 0;
-  expect_limit_refusal([&] { (void)ClizCompressor::decompress(honest, ctx); },
-                       honest.size(), std::uint64_t{1} << 22);
-  EXPECT_NO_THROW((void)ClizCompressor::decompress(honest));
-}
-
 TEST(FaultLimits, RegressionSideBlockBudget) {
   // The regression predictor's coefficient block is sized by header fields;
   // a tightened side-block budget must refuse it before any tuple parses.

@@ -26,6 +26,7 @@
 #include "src/core/codec_context.hpp"
 #include "src/lossless/lossless.hpp"
 #include "src/metrics/metrics.hpp"
+#include "tests/framed_fixture.hpp"
 
 namespace cliz {
 namespace {
@@ -329,23 +330,8 @@ TEST(GoldenStreams, LargeFieldThreadCountInvariant) {
 // alters any output byte fails here. A deliberate format change updates
 // the digests together with the corpus.
 
-/// Wide-alphabet 3-D field: strong noise on a quarter of the columns
-/// spreads the quantization codes over a few hundred bins (long Huffman
-/// codes), while the exactly linear rest yields long runs of one code that
-/// the LZ parse turns into matches.
-NdArray<float> wide_field() {
-  const Shape shape({24, 40, 48});
-  NdArray<float> a(shape);
-  Rng rng(6006);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const double noise =
-        i % 48 < 12 ? 0.4 * rng.uniform() * rng.uniform() : 0.0;
-    const double v = 0.01 * static_cast<double>(i % 48) +
-                     0.004 * static_cast<double>((i / 48) % 40) + noise;
-    a[i] = static_cast<float>(v);
-  }
-  return a;
-}
+using framed_fixture::classified_config;
+using framed_fixture::wide_field;
 
 /// CRC32C of a compressed stream whose lossless frame carries `mode`.
 std::uint32_t stream_crc(const PipelineConfig& config,
@@ -356,12 +342,6 @@ std::uint32_t stream_crc(const PipelineConfig& config,
   EXPECT_FALSE(stream.empty());
   EXPECT_EQ(stream.empty() ? -1 : stream[0], mode) << "lossless frame mode";
   return crc32c(stream);
-}
-
-PipelineConfig classified_config() {
-  PipelineConfig c = PipelineConfig::defaults(3);
-  c.classify_bins = true;
-  return c;
 }
 
 // Lossless frame modes (docs/FORMAT.md).
@@ -395,10 +375,8 @@ TEST(GoldenStreams, ClassifiedMultiHuffmanStreamsLocked) {
             0x06752771u);
   EXPECT_EQ(stream_crc(PipelineConfig::defaults(3), {}, wide_field(), kLz),
             0x03CD6146u);
-  ClizOptions framed;
-  framed.frame_passes = true;
-  EXPECT_EQ(stream_crc(classified_config(), framed, wide_field(), kLz),
-            0xD4A99503u);
+  // The framed row of this lock (0xD4A99503) is the frozen fixture
+  // framed_plain.cliz now; RetiredFramedStreamIsUnsupported checks it.
 }
 
 /// Deterministic bytes past the block-split threshold: runs, short and
@@ -526,6 +504,62 @@ TEST(GoldenStreams, RetiredTansTilesAreUnsupported) {
     (void)reader.decompress_region(origin, extent, std::span<float>(window));
   });
   expect_retired_tans([&] { (void)chunked_decompress(frame); });
+}
+
+// The retired per-pass framed entropy container (entropy byte bit 7):
+// framed_plain.cliz and framed_tiled.clks are frozen streams written by the
+// last build that encoded it. This build refuses them as unsupported.
+
+template <typename Decode>
+void expect_retired_framing(Decode&& decode) {
+  try {
+    decode();
+    ADD_FAILURE() << "retired framed stream decoded";
+  } catch (const Error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::kUnsupported) << e.what();
+    EXPECT_NE(std::string(e.what()).find("framed"), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(GoldenStreams, RetiredFramedStreamIsUnsupported) {
+  const auto stream = read_file(golden_path("framed_plain.cliz"));
+  ASSERT_FALSE(stream.empty());
+  // The fixture keeps the bytes the framed lock row used to pin.
+  EXPECT_EQ(crc32c(stream), framed_fixture::kPlainCrc);
+  // Up to the entropy byte it is the serial stream of the same input; the
+  // byte itself differs only in bit 7.
+  const auto entropy = framed_fixture::locate_entropy_byte();
+  ASSERT_LT(entropy.pos, entropy.serial_raw.size());
+  EXPECT_EQ(entropy.serial_raw[entropy.pos], 0x01u);  // huffman, classified
+  EXPECT_EQ(lossless_decompress(stream).at(entropy.pos), 0x81u);
+
+  expect_retired_framing([&] { (void)ClizCompressor::decompress(stream); });
+  // The context-reusing entry point refuses before touching the output.
+  CodecContext ctx;
+  NdArray<float> out(wide_field().shape());
+  out[0] = 42.0f;
+  expect_retired_framing(
+      [&] { ClizCompressor::decompress_into(stream, ctx, out); });
+  EXPECT_EQ(out[0], 42.0f);
+}
+
+TEST(GoldenStreams, RetiredFramedTilesAreUnsupported) {
+  const auto frame = read_file(golden_path("framed_tiled.clks"));
+  ASSERT_FALSE(frame.empty());
+  ASSERT_TRUE(is_chunked_stream(frame));
+  // The tile index is entropy-agnostic and still parses; decoding any tile
+  // is what refuses.
+  const ChunkedReader reader(frame);
+  ASSERT_EQ(reader.tiles().size(), 3u);
+  EXPECT_EQ(reader.sample_bytes(), 4u);
+  const std::size_t origin[] = {8, 2, 3};  // straddles tiles 0 and 1
+  const std::size_t extent[] = {4, 5, 6};
+  std::vector<float> window(4 * 5 * 6);
+  expect_retired_framing([&] {
+    (void)reader.decompress_region(origin, extent, std::span<float>(window));
+  });
+  expect_retired_framing([&] { (void)chunked_decompress(frame); });
 }
 
 }  // namespace

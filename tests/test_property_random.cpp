@@ -1,16 +1,25 @@
 // Randomized property tests: for a few hundred randomly drawn
 // (shape, mask, pipeline, bound, data texture) combinations, the full
 // CliZ codec must round-trip within the bound, reproduce fill values at
-// masked points, and stay deterministic. Seeds are fixed, so failures are
-// reproducible; the sweep goes far beyond the hand-picked cases in
-// test_cliz.cpp.
+// masked points, and stay deterministic. Shapes run from 1-D to 5-D with
+// unit-width dimensions, and some cases carry signalling NaN, +-Inf and
+// +-FLT_MAX points that must come back bit for bit. Seeds are fixed, so
+// failures are reproducible; the sweep goes far beyond the hand-picked
+// cases in test_cliz.cpp.
 #include <gtest/gtest.h>
 
 #include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <string>
+#include <vector>
 
+#include "src/common/parallel.hpp"
+#include "src/common/point_error.hpp"
 #include "src/common/rng.hpp"
+#include "src/core/chunked.hpp"
+#include "src/core/chunked_reader.hpp"
 #include "src/core/cliz.hpp"
 #include "src/core/codec_context.hpp"
 #include "src/metrics/metrics.hpp"
@@ -32,10 +41,14 @@ RandomCase draw_case(std::uint64_t seed) {
   Rng rng(seed);
   RandomCase c;
 
-  // Shape: 1-4 dims, total size <= ~40k.
-  const std::size_t nd = 1 + rng.uniform_index(4);
+  // Shape: 1-5 dims, total size <= 64k; about one dim in five has unit
+  // width.
+  constexpr std::size_t kMaxExtent[] = {0, 64, 64, 16, 12, 8};
+  const std::size_t nd = 1 + rng.uniform_index(5);
   DimVec dims(nd);
-  for (auto& d : dims) d = 1 + rng.uniform_index(nd >= 3 ? 16 : 64);
+  for (auto& d : dims) {
+    d = rng.uniform() < 0.2 ? 1 : 1 + rng.uniform_index(kMaxExtent[nd]);
+  }
   c.shape = Shape(dims);
   c.data = NdArray<float>(c.shape);
 
@@ -72,6 +85,24 @@ RandomCase draw_case(std::uint64_t seed) {
         c.mask->mutable_data()[i] = 0;
         c.data[i] = 9.96921e36f;
       }
+    }
+  }
+
+  // Non-finite and extreme values at a few valid points in a third of the
+  // cases: they travel the outlier path and must come back bit for bit.
+  if (rng.uniform() < 1.0 / 3.0) {
+    const float kSpecial[] = {
+        std::bit_cast<float>(std::uint32_t{0x7F800001}),  // signalling NaN
+        std::numeric_limits<float>::infinity(),
+        -std::numeric_limits<float>::infinity(),
+        std::numeric_limits<float>::max(),
+        std::numeric_limits<float>::lowest(),
+    };
+    const std::size_t n_special = 1 + rng.uniform_index(4);
+    for (std::size_t k = 0; k < n_special; ++k) {
+      const std::size_t i = rng.uniform_index(c.data.size());
+      if (c.mask.has_value() && !c.mask->valid(i)) continue;
+      c.data[i] = kSpecial[rng.uniform_index(std::size(kSpecial))];
     }
   }
 
@@ -127,66 +158,135 @@ TEST_P(RandomPipelineFuzz, RoundTripHoldsBoundAndFills) {
 INSTANTIATE_TEST_SUITE_P(Seeds, RandomPipelineFuzz,
                          ::testing::Values(1, 2, 3, 4, 5, 6));
 
-// --- framed/serial differential harness ----------------------------------
-// For randomized cases and EVERY registered (predictor, entropy, lossless)
-// triple, the per-pass framed container must reconstruct bit-identically to
-// the serial one: framing repartitions the entropy payload, it never
-// changes a single decoded value.
+// --- every predictor x lossless pair ------------------------------------
+// The one randomized sweep over every registered backend pair. For each
+// drawn case it checks: the bound at every valid point (point_error, so
+// NaN/Inf must be bit-exact), fill values at masked points, decompress_into
+// against decompress bit for bit, stream bytes at 1 vs 4 threads, and a
+// random region of a CLK3-tiled encode against the same crop of its full
+// decode.
 
-class FramedDifferentialFuzz
-    : public ::testing::TestWithParam<std::uint64_t> {};
+struct BackendPair {
+  PredictorBackend predictor;
+  LosslessBackend lossless;
+};
 
-TEST_P(FramedDifferentialFuzz, FramedDecodeMatchesSerialBitExactly) {
-  constexpr PredictorBackend kPredictors[] = {
-      PredictorBackend::kInterp,
-      PredictorBackend::kLorenzo1,
-      PredictorBackend::kLorenzo2,
-      PredictorBackend::kRegression,
-  };
-  constexpr LosslessBackend kLossless[] = {LosslessBackend::kLz,
-                                           LosslessBackend::kStore};
-  for (std::uint64_t i = 0; i < 6; ++i) {
-    const std::uint64_t seed = 77000 + GetParam() * 100 + i;
-    const RandomCase c = draw_case(seed);
-    const MaskMap* mask = c.mask.has_value() ? &*c.mask : nullptr;
-    for (const PredictorBackend predictor : kPredictors) {
-      for (const LosslessBackend lossless : kLossless) {
-        ClizOptions serial = c.options;
-        serial.predictor = predictor;
-        serial.lossless = lossless;
-        ClizOptions framed = serial;
-        framed.frame_passes = true;
-        SCOPED_TRACE(std::string("seed ") + std::to_string(seed) +
-                     " predictor=" + predictor_backend_name(predictor) +
-                     " lossless=" + lossless_backend_name(lossless));
+constexpr BackendPair kBackendPairs[] = {
+    {PredictorBackend::kInterp, LosslessBackend::kLz},
+    {PredictorBackend::kInterp, LosslessBackend::kStore},
+    {PredictorBackend::kLorenzo1, LosslessBackend::kLz},
+    {PredictorBackend::kLorenzo1, LosslessBackend::kStore},
+    {PredictorBackend::kLorenzo2, LosslessBackend::kLz},
+    {PredictorBackend::kLorenzo2, LosslessBackend::kStore},
+    {PredictorBackend::kRegression, LosslessBackend::kLz},
+    {PredictorBackend::kRegression, LosslessBackend::kStore},
+};
 
-        const auto serial_stream =
-            ClizCompressor(c.config, serial).compress(c.data, c.eb, mask);
-        CodecContext cctx;
-        const auto framed_stream = ClizCompressor(c.config, framed)
-                                       .compress(c.data, c.eb, mask, cctx);
-        ASSERT_TRUE(cctx.stats.frame_passes);
+/// Restores the entry thread count on scope exit, so a failing assertion
+/// cannot leak a modified global setting into later tests.
+struct ThreadCountGuard {
+  int saved = hardware_threads();
+  ~ThreadCountGuard() { set_thread_count(saved); }
+};
 
-        const auto serial_out =
-            ClizCompressor::decompress(serial_stream);
-        CodecContext dctx;
-        const auto framed_out =
-            ClizCompressor::decompress(framed_stream, dctx);
-        ASSERT_TRUE(dctx.stats.frame_passes);
-        ASSERT_EQ(framed_out.shape(), serial_out.shape());
-        for (std::size_t p = 0; p < framed_out.size(); ++p) {
-          // Bit-exact, NaN-safe comparison.
-          ASSERT_EQ(std::bit_cast<std::uint32_t>(framed_out[p]),
-                    std::bit_cast<std::uint32_t>(serial_out[p]))
-              << "value " << p;
-        }
-      }
-    }
+void expect_same_bits(std::span<const float> a, std::span<const float> b,
+                      const char* what) {
+  ASSERT_EQ(a.size(), b.size()) << what;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(a[i]),
+              std::bit_cast<std::uint32_t>(b[i]))
+        << what << ": value " << i;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Seeds, FramedDifferentialFuzz,
-                         ::testing::Values(1, 2, 3));
+/// Row-major crop [origin, origin + extent) of `full`.
+std::vector<float> crop(const NdArray<float>& full, const DimVec& origin,
+                        const DimVec& extent) {
+  const Shape window(extent);
+  std::vector<float> out(window.size());
+  DimVec at(origin.size());
+  for (std::size_t i = 0; i < out.size(); ++i) {
+    const auto local = window.coords(i);
+    for (std::size_t d = 0; d < at.size(); ++d) at[d] = origin[d] + local[d];
+    out[i] = full[full.shape().offset(at)];
+  }
+  return out;
+}
+
+class BackendPropertyFuzz : public ::testing::TestWithParam<std::size_t> {};
+
+TEST_P(BackendPropertyFuzz, BoundFillsIntoThreadsAndRegions) {
+  const BackendPair pair = kBackendPairs[GetParam()];
+  ThreadCountGuard guard;
+  for (std::uint64_t i = 0; i < 8; ++i) {
+    const std::uint64_t seed = 77000 + GetParam() * 100 + i;
+    const RandomCase c = draw_case(seed);
+    const MaskMap* mask = c.mask.has_value() ? &*c.mask : nullptr;
+    ClizOptions options = c.options;
+    options.predictor = pair.predictor;
+    options.lossless = pair.lossless;
+    SCOPED_TRACE(std::string("seed ") + std::to_string(seed) + " shape " +
+                 c.shape.to_string() + " config " + c.config.label());
+
+    // Thread-count invariance of the stream bytes.
+    set_thread_count(1);
+    const ClizCompressor codec(c.config, options);
+    const auto stream = codec.compress(c.data, c.eb, mask);
+    set_thread_count(4);
+    ASSERT_EQ(codec.compress(c.data, c.eb, mask), stream)
+        << "stream differs at 4 threads";
+    set_thread_count(guard.saved);
+
+    // Bound at every valid point; fill at every masked one.
+    const auto recon = ClizCompressor::decompress(stream);
+    ASSERT_EQ(recon.shape(), c.shape);
+    for (std::size_t p = 0; p < recon.size(); ++p) {
+      if (mask != nullptr && !mask->valid(p)) {
+        ASSERT_EQ(recon[p], options.fill_value) << "masked point " << p;
+      } else {
+        ASSERT_LE(point_error(c.data[p], recon[p]), c.eb)
+            << "point " << p << ": " << c.data[p] << " -> " << recon[p];
+      }
+    }
+
+    // decompress_into reproduces decompress bit for bit.
+    CodecContext ctx;
+    NdArray<float> into(c.shape);
+    ClizCompressor::decompress_into(stream, ctx, into);
+    expect_same_bits(into.flat(), recon.flat(), "decompress_into");
+
+    // CLK3 tiles: a random window equals the crop of the full decode.
+    Rng rng(seed ^ 0x5A5A);
+    const std::size_t nd = c.shape.ndims();
+    ChunkedOptions tiled;
+    tiled.codec = options;
+    tiled.tile.resize(nd);
+    DimVec origin(nd);
+    DimVec extent(nd);
+    for (std::size_t d = 0; d < nd; ++d) {
+      const std::size_t n = c.shape.dim(d);
+      tiled.tile[d] = rng.uniform_index(n + 1);  // 0 = full extent
+      origin[d] = rng.uniform_index(n);
+      extent[d] = 1 + rng.uniform_index(n - origin[d]);
+    }
+    const auto frame = chunked_compress(c.data, c.eb, c.config, mask, tiled);
+    const auto full = chunked_decompress(frame);
+    ASSERT_EQ(full.shape(), c.shape);
+    std::vector<float> window(Shape(extent).size());
+    const ChunkedReader reader(frame);
+    (void)reader.decompress_region(origin, extent, std::span<float>(window));
+    expect_same_bits(window, crop(full, origin, extent), "region");
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Pairs, BackendPropertyFuzz,
+    ::testing::Range<std::size_t>(0, std::size(kBackendPairs)),
+    [](const ::testing::TestParamInfo<std::size_t>& info) {
+      const BackendPair& p = kBackendPairs[info.param];
+      return std::string(predictor_backend_name(p.predictor)) + "_" +
+             lossless_backend_name(p.lossless);
+    });
 
 }  // namespace
 }  // namespace cliz

@@ -7,7 +7,8 @@
 #include "src/climate/datasets.hpp"
 #include "src/common/rng.hpp"
 #include "src/common/status.hpp"
-#include "src/common/timer.hpp"
+#include "src/core/autotune.hpp"
+#include "src/core/cliz.hpp"
 #include "src/metrics/metrics.hpp"
 
 namespace cliz {
@@ -74,20 +75,76 @@ TEST(Registry, ClizUsesMaskWhenProvided) {
   EXPECT_LE(stats.max_abs_error, eb);
 }
 
+/// Smooth along `smooth_dim`, rough along the others: the tuner's traversal
+/// order follows the smooth axis, so fields that differ in it tune apart.
+NdArray<float> directional_field(const DimVec& dims, std::size_t smooth_dim,
+                                 std::uint64_t seed) {
+  const Shape shape(dims);
+  NdArray<float> a(shape);
+  Rng rng(seed);
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    const auto c = shape.coords(i);
+    double v = 0.0;
+    for (std::size_t d = 0; d < c.size(); ++d) {
+      const double x = static_cast<double>(c[d]);
+      v += d == smooth_dim ? std::sin(0.07 * x)
+                           : 0.3 * std::sin(1.9 * x + static_cast<double>(d));
+    }
+    a[i] = static_cast<float>(v + 0.01 * rng.normal());
+  }
+  return a;
+}
+
+/// The pipeline the "cliz" adapter tunes for `data` (time dim 0).
+PipelineConfig own_tune(const NdArray<float>& data, double eb,
+                        const MaskMap* mask = nullptr) {
+  AutotuneOptions opts;
+  opts.time_dim = 0;
+  return autotune(data, eb, mask, opts).best;
+}
+
 TEST(Registry, ClizReusesTunedPipelineAcrossCalls) {
-  auto field = make_ssh(0.12, 601);
+  // Two same-shape fields whose own tunes differ: after tuning on A, the
+  // adapter must compress B with A's pipeline, not B's.
+  constexpr double kEb = 1e-3;
+  const auto a = directional_field({16, 20, 24}, 1, 6);
+  const auto b = directional_field({16, 20, 24}, 2, 7);
+  const PipelineConfig tuned_a = own_tune(a, kEb);
+  ASSERT_NE(tuned_a.label(), own_tune(b, kEb).label());
+
   auto comp = make_compressor("cliz");
-  comp->set_mask(field.mask_ptr());
-  comp->set_time_dim(field.time_dim);
-  const double eb = 1e-3;
-  // First call tunes; the second must be noticeably cheaper (no tuning).
-  Timer t1;
-  (void)comp->compress(field.data, eb);
-  const double first = t1.seconds();
-  Timer t2;
-  (void)comp->compress(field.data, eb);
-  const double second = t2.seconds();
-  EXPECT_LT(second, first);
+  comp->set_time_dim(0);
+  EXPECT_EQ(comp->compress(a, kEb), ClizCompressor(tuned_a).compress(a, kEb));
+  EXPECT_EQ(comp->compress(b, kEb), ClizCompressor(tuned_a).compress(b, kEb));
+}
+
+TEST(Registry, ClizRetunesAfterMaskOrShapeChange) {
+  constexpr double kEb = 1e-3;
+  const auto a = directional_field({16, 20, 24}, 1, 6);
+  const PipelineConfig tuned_a = own_tune(a, kEb);
+
+  // set_mask drops the tuned pipeline: the next field is tuned afresh
+  // (with the mask) instead of reusing A's.
+  const auto b = directional_field({16, 20, 24}, 2, 7);
+  auto mask = MaskMap::all_valid(b.shape());
+  for (std::size_t i = 0; i < b.size(); i += 11) mask.mutable_data()[i] = 0;
+  const PipelineConfig tuned_b = own_tune(b, kEb, &mask);
+  ASSERT_NE(tuned_b.label(), tuned_a.label());
+  auto comp = make_compressor("cliz");
+  comp->set_time_dim(0);
+  (void)comp->compress(a, kEb);
+  comp->set_mask(&mask);
+  EXPECT_EQ(comp->compress(b, kEb),
+            ClizCompressor(tuned_b).compress(b, kEb, &mask));
+
+  // A new shape is tuned afresh too.
+  const auto c = directional_field({18, 20, 24}, 0, 8);
+  const PipelineConfig tuned_c = own_tune(c, kEb);
+  ASSERT_NE(tuned_c.label(), tuned_a.label());
+  auto fresh = make_compressor("cliz");
+  fresh->set_time_dim(0);
+  (void)fresh->compress(a, kEb);
+  EXPECT_EQ(fresh->compress(c, kEb), ClizCompressor(tuned_c).compress(c, kEb));
 }
 
 TEST(Registry, BaselinesIgnoreMask) {

@@ -19,6 +19,7 @@
 #include "src/core/stage_backends.hpp"
 #include "src/lossless/lossless.hpp"
 #include "src/metrics/metrics.hpp"
+#include "tests/framed_fixture.hpp"
 
 namespace cliz {
 namespace {
@@ -229,57 +230,35 @@ TEST(StageBackends, StoreStreamsAreThreadCountInvariant) {
 // --- unknown entropy id ------------------------------------------------
 
 TEST(StageBackends, UnknownEntropyIdIsCleanError) {
-  // The entropy byte is the first byte where a serial and a framed
-  // compression of the same input differ (bit 7 flags the framed
+  // The entropy byte is the first byte where the frozen framed fixture and
+  // a serial re-encode of its input differ (bit 7 flags the retired framed
   // container).
-  const auto data = plain_field();
-  ClizOptions framed_opts;
-  framed_opts.frame_passes = true;
-  const auto serial_raw = lossless_decompress(
-      ClizCompressor(PipelineConfig::defaults(2)).compress(data, kEb));
-  const auto framed_raw = lossless_decompress(
-      ClizCompressor(PipelineConfig::defaults(2), framed_opts)
-          .compress(data, kEb));
-  const std::size_t pos = fault::first_divergence(serial_raw, framed_raw);
+  const auto entropy = framed_fixture::locate_entropy_byte();
+  const auto& serial_raw = entropy.serial_raw;
+  const std::size_t pos = entropy.pos;
   ASSERT_LT(pos, serial_raw.size());
-  ASSERT_EQ(serial_raw[pos], 0x00u);  // (huffman id 0 << 1) | unclassified
-  ASSERT_EQ(framed_raw[pos], 0x80u);  // same, framed
+  ASSERT_EQ(serial_raw[pos], 0x01u);  // (huffman id 0 << 1) | classified
 
+  const auto expect_code = [&](const std::uint8_t* values, std::size_t n,
+                               ErrorCode code) {
+    for (const auto& fault : fault::byte_override_cases(
+             serial_raw, pos, std::span<const std::uint8_t>(values, n))) {
+      try {
+        (void)ClizCompressor::decompress(lossless_compress(fault.bytes));
+        ADD_FAILURE() << fault.label << ": decoded";
+      } catch (const Error& e) {
+        EXPECT_EQ(e.code(), code) << fault.label << ": " << e.what();
+      }
+    }
+  };
   // Every id >= 2 in the id field (bits 1..6) is unknown to this build and
-  // must be a clean kCorruptStream, classified or framed bits notwithstanding.
-  const std::uint8_t unknown[] = {4, 5, 6, 0x84, 0x7E, 0xFE, 0xFF};
-  for (const auto& fault :
-       fault::byte_override_cases(serial_raw, pos, unknown)) {
-    const auto stream = lossless_compress(fault.bytes);
-    try {
-      (void)ClizCompressor::decompress(stream);
-      ADD_FAILURE() << fault.label << ": decoded";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kCorruptStream) << fault.label;
-    }
-  }
-  // Id 1 is the retired tANS coder: refused as unsupported before any of
-  // its tables are read. 0x80 flips the framed-container bit (id stays
-  // huffman) over a serial payload, which the framing layout/bounds checks
-  // reject (test_entropy_framing.cpp covers the framed wire in depth).
-  const std::uint8_t retired[] = {2, 3, 0x82};
-  for (const auto& fault :
-       fault::byte_override_cases(serial_raw, pos, retired)) {
-    try {
-      (void)ClizCompressor::decompress(lossless_compress(fault.bytes));
-      ADD_FAILURE() << fault.label << ": decoded";
-    } catch (const Error& e) {
-      EXPECT_EQ(e.code(), ErrorCode::kUnsupported) << fault.label;
-    }
-  }
-  const std::uint8_t framed_flip[] = {0x80};
-  for (const auto& fault :
-       fault::byte_override_cases(serial_raw, pos, framed_flip)) {
-    EXPECT_THROW(
-        (void)ClizCompressor::decompress(lossless_compress(fault.bytes)),
-        Error)
-        << fault.label;
-  }
+  // must be a clean kCorruptStream, classified or bit 7 notwithstanding.
+  const std::uint8_t unknown[] = {4, 5, 6, 0x84, 0x85, 0x7E, 0xFE, 0xFF};
+  expect_code(unknown, std::size(unknown), ErrorCode::kCorruptStream);
+  // Id 1 is the retired tANS coder and bit 7 with id 0 the retired framed
+  // container: both refused as unsupported before any table is read.
+  const std::uint8_t retired[] = {2, 3, 0x82, 0x83, 0x80, 0x81};
+  expect_code(retired, std::size(retired), ErrorCode::kUnsupported);
 }
 
 // --- store/RLE lossless backend ------------------------------------------
@@ -361,12 +340,15 @@ TEST(StageBackends, AutotuneRecordsDeterministicBackendChoice) {
   EXPECT_LE(error_stats(data.flat(), out.flat()).max_abs_error, kEb);
 
   // The report keys the grid by lossless name and, with Huffman the only
-  // entropy coder, carries no entropy choice.
+  // entropy coder written as one payload, carries no entropy or framing
+  // choice.
+  EXPECT_FALSE(first.best_frame_passes);
   const std::string json = first.to_json();
   EXPECT_NE(json.find("\"backend_candidates\":{\"lz\":"), std::string::npos)
       << json;
   EXPECT_NE(json.find(",\"store\":"), std::string::npos) << json;
   EXPECT_EQ(json.find("entropy"), std::string::npos) << json;
+  EXPECT_EQ(json.find("frame"), std::string::npos) << json;
 }
 
 TEST(StageBackends, AutotuneBackendGridCanBeDisabled) {
@@ -404,9 +386,12 @@ TEST(StageBackends, StatsNameBackendsFromTheEnumTables) {
       EXPECT_NE(json.find("\"lossless_backend\":\"" + l + "\","),
                 std::string::npos)
           << json;
-      // No entropy-coder keys: Huffman is the only coder.
+      // No entropy-coder or framing keys: Huffman is the only coder and
+      // writes one payload.
       EXPECT_EQ(json.find("\"entropy"), std::string::npos) << json;
+      EXPECT_EQ(json.find("\"frame"), std::string::npos) << json;
       const std::string text = st.to_text();
+      EXPECT_EQ(text.find("framing"), std::string::npos) << text;
       EXPECT_NE(text.find("backends: predictor=" + p + " lossless=" + l +
                           " simd="),
                 std::string::npos)

@@ -65,10 +65,6 @@ const CancelToken* governor_cancel() { return g_governed ? &g_cancel : nullptr; 
                     the tuner picks the best backends per stream)
                    [--verify]   (cliz only: decode-and-check the bound
                                  before writing; retries conservatively)
-                   [--frame-passes]
-                                (cliz only: per-pass entropy framing for
-                                 parallel decode; the tuner drops it when
-                                 the offset table costs too much ratio)
   clizc decompress <in>      -o <out.f32> [--stats]
                    (f64 and chunked streams auto-detected)
   clizc extract    <in> --region a:b,c:d,... -o <out.f32> [--stats]
@@ -297,7 +293,6 @@ int cmd_compress(Args& args) {
   bool f64 = false;
   bool show_stats = false;
   bool verify = false;
-  bool frame_passes = false;
   double tune_rate = 0.01;
   std::size_t time_dim = 0;
   std::size_t chunks = 0;
@@ -338,8 +333,6 @@ int cmd_compress(Args& args) {
       show_stats = true;
     } else if (opt == "--verify") {
       verify = true;
-    } else if (opt == "--frame-passes") {
-      frame_passes = true;
     } else if (opt == "--predictor" || opt.rfind("--predictor=", 0) == 0) {
       const std::string v = opt == "--predictor" ? args.next("predictor backend")
                                                  : opt.substr(12);
@@ -367,9 +360,6 @@ int cmd_compress(Args& args) {
   if (verify && codec != "cliz") {
     usage("--verify is only supported with -c cliz");
   }
-  if (frame_passes && codec != "cliz") {
-    usage("--frame-passes is only supported with -c cliz");
-  }
   if ((predictor.has_value() || lossless.has_value()) && codec != "cliz") {
     usage("--predictor/--lossless are only supported with -c cliz");
   }
@@ -378,7 +368,6 @@ int cmd_compress(Args& args) {
   // --deadline-ms covers the whole encode.
   cliz_opts.cancel = governor_cancel();
   cliz_opts.verify_encode = verify;
-  cliz_opts.frame_passes = frame_passes;
   if (predictor.has_value()) cliz_opts.predictor = *predictor;
   if (lossless.has_value()) cliz_opts.lossless = *lossless;
   // A user-forced backend is final; otherwise the tuner trials that axis of
@@ -404,8 +393,7 @@ int cmd_compress(Args& args) {
     }
     std::vector<std::uint8_t> stream;
     if (chunked ||
-        ((show_stats || verify || frame_passes || !tune_backends ||
-          !tune_predictor) &&
+        ((show_stats || verify || !tune_backends || !tune_predictor) &&
          codec == "cliz")) {
       // Tune on a float32 downcast (ranking only), then compress the
       // float64 samples through a context so --stats has telemetry.
@@ -422,7 +410,6 @@ int cmd_compress(Args& args) {
       const auto tuned = autotune(downcast, eb, mask_ptr, opts);
       if (tune_predictor) cliz_opts.predictor = tuned.best_predictor;
       if (tune_backends) cliz_opts.lossless = tuned.best_lossless;
-      cliz_opts.frame_passes = tuned.best_frame_passes;
       if (show_stats) {
         std::fprintf(stderr, "autotune: %s\n", tuned.to_json().c_str());
       }
@@ -482,9 +469,6 @@ int cmd_compress(Args& args) {
     const auto tuned = autotune(data, eb, mask_ptr, opts);
     if (tune_predictor) cliz_opts.predictor = tuned.best_predictor;
     if (tune_backends) cliz_opts.lossless = tuned.best_lossless;
-    // The tuner keeps framing only when the sampled offset-table overhead
-    // stays within the budget (never turns it *on* unrequested).
-    cliz_opts.frame_passes = tuned.best_frame_passes;
     std::fprintf(stderr,
                  "tuned pipeline: %s [predictor=%s lossless=%s] "
                  "(%zu candidates, %.2f s)\n",
