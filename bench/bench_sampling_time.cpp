@@ -79,49 +79,46 @@ void run_dataset(const ClimateField& field, double eb) {
   std::printf("full-data compression: %.3f s (pipeline: %s)\n",
               full_compress_s, ref.best.label().c_str());
 
-  bench::Table t({"Sampling rate", "Pipelines", "Sample pts", "Tuning (s)",
-                  "Tuning / full compress"});
+  bench::Table t({"Sampling rate", "Pipelines", "Trials", "Sample pts",
+                  "Tuning (s)", "Tuning / full compress"});
   for (const double rate : {1e-1, 1e-2, 1e-3, 1e-4}) {
     AutotuneOptions opts;
     opts.time_dim = field.time_dim;
     opts.sampling_rate = rate;
     const auto result = autotune(field.data, eb, field.mask_ptr(), opts);
     t.add_row({bench::fmt_sci(rate), std::to_string(result.candidates.size()),
+               std::to_string(result.trials_run),
                std::to_string(result.sample_points),
                bench::fmt(result.tuning_seconds, 3),
                bench::fmt(result.tuning_seconds / full_compress_s, 2) + "x"});
   }
   t.print();
 
-  // Trial-loop engineering A/B: the pre-CodecContext behaviour (serial
-  // loop, fresh buffers every trial) against the current one (parallel_for
-  // over per-thread contexts, buffers reused across trials). The candidate
-  // ranking is identical by construction; only wall time moves.
-  AutotuneOptions legacy;
-  legacy.time_dim = field.time_dim;
-  legacy.sampling_rate = 0.01;
-  legacy.parallel_trials = false;
-  legacy.reuse_contexts = false;
-  AutotuneOptions reused = legacy;
-  reused.parallel_trials = true;
-  reused.reuse_contexts = true;
-  double legacy_s = 1e300;
-  double reused_s = 1e300;
-  std::string legacy_best;
-  std::string reused_best;
+  // Trial-loop A/B: the serial loop against parallel_for over per-thread
+  // contexts. The candidate ranking is identical by construction; only wall
+  // time moves.
+  AutotuneOptions serial;
+  serial.time_dim = field.time_dim;
+  serial.sampling_rate = 0.01;
+  serial.parallel_trials = false;
+  AutotuneOptions parallel = serial;
+  parallel.parallel_trials = true;
+  double serial_s = 1e300;
+  double parallel_s = 1e300;
+  std::string serial_best;
+  std::string parallel_best;
   for (int rep = 0; rep < 3; ++rep) {
-    const auto a = autotune(field.data, eb, field.mask_ptr(), legacy);
-    const auto b = autotune(field.data, eb, field.mask_ptr(), reused);
-    legacy_s = std::min(legacy_s, a.tuning_seconds);
-    reused_s = std::min(reused_s, b.tuning_seconds);
-    legacy_best = a.best.label();
-    reused_best = b.best.label();
+    const auto a = autotune(field.data, eb, field.mask_ptr(), serial);
+    const auto b = autotune(field.data, eb, field.mask_ptr(), parallel);
+    serial_s = std::min(serial_s, a.tuning_seconds);
+    parallel_s = std::min(parallel_s, b.tuning_seconds);
+    serial_best = a.best.label();
+    parallel_best = b.best.label();
   }
-  std::printf("trial loop: fresh-context serial %.3f s, "
-              "reused-context parallel %.3f s (%.2fx)%s\n",
-              legacy_s, reused_s, legacy_s / reused_s,
-              legacy_best == reused_best ? "" : "  [RANKING DIVERGED]");
-  const auto tuned = autotune(field.data, eb, field.mask_ptr(), reused);
+  std::printf("trial loop: serial %.3f s, parallel %.3f s (%.2fx)%s\n",
+              serial_s, parallel_s, serial_s / parallel_s,
+              serial_best == parallel_best ? "" : "  [RANKING DIVERGED]");
+  const auto tuned = autotune(field.data, eb, field.mask_ptr(), parallel);
   std::printf("best-candidate stage breakdown (sample trial):\n%s",
               tuned.candidates.front().stats.to_text().c_str());
 

@@ -47,44 +47,55 @@ inline bool error_is_retryable(ErrorCode code) noexcept {
 /// the public API. All library entry points validate their inputs and throw
 /// Error rather than invoking undefined behaviour. The ErrorCode classifies
 /// the failure; the what() string carries the human-readable context
-/// (including stream byte offsets where the thrower knows them).
+/// (including stream byte offsets where the thrower knows them) and is the
+/// same in every build. where() names the failed check for debugging.
 class Error : public std::runtime_error {
  public:
   explicit Error(const std::string& what)
       : std::runtime_error(what), code_(ErrorCode::kCorruptStream) {}
-  Error(ErrorCode code, const std::string& what)
-      : std::runtime_error(what), code_(code) {}
+  Error(ErrorCode code, const std::string& what, const char* where = "")
+      : std::runtime_error(what), code_(code), where_(where) {}
 
   [[nodiscard]] ErrorCode code() const noexcept { return code_; }
+  /// Failed condition and source location of a CLIZ_REQUIRE* check
+  /// ("cond failed at file:line"); empty for errors thrown directly. Kept
+  /// out of what() because the path is the build's and varies between
+  /// builds. Points at a string literal, so it never dangles.
+  [[nodiscard]] const char* where() const noexcept { return where_; }
 
  private:
   ErrorCode code_;
+  const char* where_ = "";
 };
+
+#define CLIZ_STRINGIFY_(x) #x
+#define CLIZ_STRINGIFY(x) CLIZ_STRINGIFY_(x)
 
 /// Validates a runtime condition on data coming from outside the library
 /// (user arguments, serialized streams). Active in all build types. Throws
 /// with kCorruptStream — the right default for stream parsing, which is
 /// where the overwhelming majority of checks live.
-#define CLIZ_REQUIRE(cond, msg)                                        \
-  do {                                                                 \
-    if (!(cond)) {                                                     \
-      throw ::cliz::Error(std::string("cliz: ") + (msg) + " [" #cond   \
-                          " failed at " __FILE__ ":" +                 \
-                          std::to_string(__LINE__) + "]");             \
-    }                                                                  \
+#define CLIZ_REQUIRE(cond, msg)                                           \
+  do {                                                                    \
+    if (!(cond)) {                                                        \
+      throw ::cliz::Error(::cliz::ErrorCode::kCorruptStream,              \
+                          std::string("cliz: ") + (msg),                  \
+                          #cond " failed at " __FILE__                    \
+                          ":" CLIZ_STRINGIFY(__LINE__));                  \
+    }                                                                     \
   } while (false)
 
 /// Code-carrying variant for checks whose failure is not stream
 /// corruption: argument validation (kBadArgument), governor budgets
 /// (kLimitExceeded), unknown-version fields (kUnsupported), ...
-#define CLIZ_REQUIRE_CODE(cond, code, msg)                             \
-  do {                                                                 \
-    if (!(cond)) {                                                     \
-      throw ::cliz::Error(::cliz::ErrorCode::code,                     \
-                          std::string("cliz: ") + (msg) + " [" #cond   \
-                          " failed at " __FILE__ ":" +                 \
-                          std::to_string(__LINE__) + "]");             \
-    }                                                                  \
+#define CLIZ_REQUIRE_CODE(cond, code, msg)                                \
+  do {                                                                    \
+    if (!(cond)) {                                                        \
+      throw ::cliz::Error(::cliz::ErrorCode::code,                        \
+                          std::string("cliz: ") + (msg),                  \
+                          #cond " failed at " __FILE__                    \
+                          ":" CLIZ_STRINGIFY(__LINE__));                  \
+    }                                                                     \
   } while (false)
 
 }  // namespace cliz

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <map>
 #include <optional>
 #include <string>
 #include <utility>
@@ -187,6 +188,8 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
         sample_time_preserving(data, mask, opts.sampling_rate, opts.time_dim);
   }
   result.sample_points = sample.data.size();
+  result.sample_valid_points =
+      sample.mask.has_value() ? sample.mask->count_valid() : sample.data.size();
 
   // Search space.
   std::vector<std::vector<std::size_t>> perms;
@@ -206,17 +209,19 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
   std::vector<bool> classifications{false};
   if (opts.consider_classification && nd >= 3) classifications.push_back(true);
 
-  // Flatten the search grid into an indexed trial list so the trial loop
-  // can run in parallel while the result order (and therefore every
-  // stable_sort tie-break downstream) stays exactly that of the serial
-  // nested loops.
-  struct TrialSpec {
-    PipelineConfig config;
-    const SampledData* sample;
-  };
-  std::vector<TrialSpec> trials;
+  // Flatten the search grid into the candidate list, in the order of the
+  // serial nested loops (so every stable_sort tie-break downstream stays
+  // that of the paper's enumeration). Predictors read the permutation only
+  // through the pass order it induces over the fused axes, so configs that
+  // agree on that order and on every other field predict identically: their
+  // streams differ only in the permutation bytes of the header. Each such
+  // class runs one trial, on the first config enumerated with its key, and
+  // every member takes the representative's ratio and stats.
+  std::vector<std::size_t> trials;  // candidate index of each representative
+  std::vector<std::size_t> representative_of;  // indexed by candidate
+  std::map<std::vector<std::size_t>, std::size_t> representative_by_key;
+  std::vector<std::size_t> order;
   for (const std::size_t period : periods) {
-    const SampledData& s = period > 0 ? *periodic_sample : sample;
     for (const bool classify : classifications) {
       for (const auto& perm : perms) {
         for (const auto& fusion : fusions) {
@@ -228,12 +233,29 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
             config.period = period;
             config.time_dim = opts.time_dim;
             config.classify_bins = classify;
-            trials.push_back({std::move(config), &s});
+            induced_axis_order_into(fusion, perm, order);
+            std::vector<std::size_t> key{period, classify ? 1u : 0u,
+                                         static_cast<std::size_t>(fitting)};
+            for (const auto& [first, last] : fusion.groups()) {
+              key.insert(key.end(), {first, last});
+            }
+            key.insert(key.end(), order.begin(), order.end());
+            const std::size_t index = result.candidates.size();
+            const auto [it, fresh] =
+                representative_by_key.try_emplace(std::move(key), index);
+            if (fresh) trials.push_back(index);
+            representative_of.push_back(it->second);
+            result.candidates.push_back({std::move(config), 0.0, {}});
           }
         }
       }
     }
   }
+
+  // Trials never verify: each decode and bound check would be of a sample
+  // stream that is thrown away. The caller's final compress still verifies.
+  ClizOptions trial_codec = opts.codec;
+  trial_codec.verify_encode = false;
 
   // One context per thread: trial compressions after the first reuse the
   // previous trial's buffers (LZ hash chains, code vectors, Huffman
@@ -243,22 +265,19 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
           ? static_cast<std::size_t>(std::max(1, hardware_threads()))
           : 1;
   std::vector<CodecContext> pool(n_slots);
-  result.candidates.resize(trials.size());
   const auto run_trial = [&](std::size_t i) {
-    const TrialSpec& t = trials[i];
-    CodecContext local;  // reuse_contexts=false: fresh scratch per trial
+    PipelineCandidate& cand = result.candidates[trials[i]];
+    const SampledData& s =
+        cand.config.period > 0 ? *periodic_sample : sample;
     CodecContext& ctx =
-        opts.reuse_contexts
-            ? pool[static_cast<std::size_t>(thread_index()) % pool.size()]
-            : local;
-    const ClizCompressor comp(t.config, opts.codec);
+        pool[static_cast<std::size_t>(thread_index()) % pool.size()];
+    const ClizCompressor comp(cand.config, trial_codec);
     const auto stream =
-        comp.compress(t.sample->data, abs_error_bound, t.sample->mask_ptr(),
-                      ctx);
-    const double ratio =
-        static_cast<double>(t.sample->data.size() * sizeof(float)) /
+        comp.compress(s.data, abs_error_bound, s.mask_ptr(), ctx);
+    cand.estimated_ratio =
+        static_cast<double>(s.data.size() * sizeof(float)) /
         static_cast<double>(stream.size());
-    result.candidates[i] = {t.config, ratio, ctx.stats};
+    cand.stats = ctx.stats;
   };
   if (opts.parallel_trials) {
     // Cancellable: a deadline or cancel() abandons the search within one
@@ -269,6 +288,13 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
       if (opts.codec.cancel != nullptr) opts.codec.cancel->check();
       run_trial(i);
     }
+  }
+  result.trials_run = trials.size();
+  for (std::size_t i = 0; i < result.candidates.size(); ++i) {
+    if (representative_of[i] == i) continue;
+    const PipelineCandidate& rep = result.candidates[representative_of[i]];
+    result.candidates[i].estimated_ratio = rep.estimated_ratio;
+    result.candidates[i].stats = rep.stats;
   }
 
   std::stable_sort(result.candidates.begin(), result.candidates.end(),
@@ -298,7 +324,7 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
         }
         s = &*refine_periodic;
       }
-      const ClizCompressor comp(cand.config, opts.codec);
+      const ClizCompressor comp(cand.config, trial_codec);
       const auto stream =
           comp.compress(s->data, abs_error_bound, s->mask_ptr(), pool[0]);
       cand.estimated_ratio =
@@ -306,6 +332,7 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
           static_cast<double>(stream.size());
       cand.stats = pool[0].stats;
     }
+    result.trials_run += k;
     std::stable_sort(result.candidates.begin(),
                      result.candidates.begin() + static_cast<std::ptrdiff_t>(k),
                      [](const PipelineCandidate& a,
@@ -339,7 +366,7 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
     };
     double best_ratio = 0.0;
     for (const PredictorBackend predictor : kPredictors) {
-      ClizOptions codec = opts.codec;
+      ClizOptions codec = trial_codec;
       codec.predictor = predictor;
       const ClizCompressor comp(result.best, codec);
       const auto stream =
@@ -360,7 +387,7 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
                                          LosslessBackend::kStore};
     double best_ratio = 0.0;
     for (const LosslessBackend lossless : kGrid) {
-      ClizOptions codec = opts.codec;
+      ClizOptions codec = trial_codec;
       codec.predictor = result.best_predictor;
       codec.lossless = lossless;
       const ClizCompressor comp(result.best, codec);
@@ -377,6 +404,8 @@ AutotuneResult autotune(const NdArray<float>& data, double abs_error_bound,
     }
   }
 
+  result.trials_run +=
+      result.predictor_candidates.size() + result.backend_candidates.size();
   result.tuning_seconds = timer.seconds();
   return result;
 }
@@ -389,6 +418,11 @@ std::string AutotuneResult::to_json() const {
                 "\"best_estimated_ratio\":%.4f",
                 predictor_backend_name(best_predictor),
                 lossless_backend_name(best_lossless), best_estimated_ratio);
+  out += buf;
+  std::snprintf(buf, sizeof(buf),
+                ",\"trials_run\":%zu,\"sample_points\":%zu,"
+                "\"sample_valid_points\":%zu",
+                trials_run, sample_points, sample_valid_points);
   out += buf;
   out += ",\"predictor_candidates\":{";
   for (std::size_t i = 0; i < predictor_candidates.size(); ++i) {

@@ -37,10 +37,6 @@ struct AutotuneOptions {
   /// results are gathered by index before the (stable) sort, so ties break
   /// the same way regardless of thread count.
   bool parallel_trials = true;
-  /// Reuse one CodecContext per thread across trials (no steady-state
-  /// allocations in the trial loop). Off: every trial gets a fresh context.
-  /// Exists for A/B benching; streams and ranking are identical either way.
-  bool reuse_contexts = true;
   /// After the pipeline search, trial the lossless backends (lz, store) on
   /// the winning configuration and record the best in best_lossless. Ties
   /// keep the default (lz), so a stream produced with the chosen backend
@@ -56,16 +52,22 @@ struct AutotuneOptions {
   bool consider_predictors = true;
   /// Codec options forwarded to the trial compressions. The lossless field
   /// seeds the backend grid's baseline (and is the final choice when
-  /// consider_backends is false).
+  /// consider_backends is false). verify_encode is ignored: trials never
+  /// verify their throw-away sample streams.
   ClizOptions codec;
 };
 
 /// One tested pipeline with its estimated compression ratio on the sample.
+/// Configs that induce the same pass order over the same fused axes (and
+/// agree on period, classification and fitting) predict identically, so
+/// only the first enumerated one runs a trial; the others copy its ratio
+/// and stats.
 struct PipelineCandidate {
   PipelineConfig config;
   double estimated_ratio = 0.0;
-  /// Per-stage breakdown of this candidate's trial compression (refined
-  /// candidates keep the stats of the refinement run).
+  /// Per-stage breakdown of the trial compression that produced
+  /// estimated_ratio (refined candidates keep the stats of the refinement
+  /// run).
   StageStats stats;
 };
 
@@ -109,7 +111,15 @@ struct AutotuneResult {
   /// field stays for source compatibility only.
   bool best_frame_passes = false;
   double tuning_seconds = 0.0;
+  /// Trial compressions actually run: one per distinct prediction in the
+  /// pipeline grid (candidates that share a pass order share a trial),
+  /// plus the refinement, predictor and lossless trials.
+  std::size_t trials_run = 0;
+  /// Points in the block sample, fill points included.
   std::size_t sample_points = 0;
+  /// Valid (unmasked) points in that block sample; 0 means its trials
+  /// ranked fill values only.
+  std::size_t sample_valid_points = 0;
   /// FFT period estimate over the probed rows (nullopt: not periodic or
   /// periodicity not considered).
   std::optional<PeriodEstimate> period;
@@ -117,6 +127,7 @@ struct AutotuneResult {
   /// Single JSON object with the chosen backends and the per-backend
   /// candidate ratios of both grids (keys stable for the bench tooling):
   /// {"best_predictor":..., "best_lossless":..., "best_estimated_ratio":...,
+  ///  "trials_run":..., "sample_points":..., "sample_valid_points":...,
   ///  "predictor_candidates":{name: ratio, ...},
   ///  "backend_candidates":{lossless name: ratio, ...}}
   [[nodiscard]] std::string to_json() const;

@@ -445,5 +445,44 @@ TEST_F(CliTest, RetiredFramedStreamsExitUnsupported) {
   }
 }
 
+TEST_F(CliTest, RefusedDecodeStderrNamesNoSourcePath) {
+  // A refused decode prints a message that is the same in every build: the
+  // failed check and its source location stay out of it.
+  ASSERT_EQ(run("gen Hurricane-T --scale 0.08 -o " + path("h.f32")), 0);
+  ASSERT_EQ(run("compress " + path("h.f32") + " -d 24,48,48 -o " +
+                path("h.cliz") + " -e 0.5"),
+            0);
+  {
+    std::ifstream in(path("h.cliz"), std::ios::binary);
+    std::vector<char> bytes{std::istreambuf_iterator<char>(in),
+                            std::istreambuf_iterator<char>()};
+    ASSERT_GT(bytes.size(), 5u);
+    bytes[5] = static_cast<char>(bytes[5] ^ 0xFF);
+    std::ofstream(path("h.bad"), std::ios::binary)
+        .write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  }
+  struct Refusal {
+    std::string stream;
+    int exit_code;
+  };
+  for (const Refusal& r :
+       {Refusal{std::string(CLIZ_GOLDEN_DIR) + "/framed_plain.cliz", 8},
+        Refusal{path("h.bad"), 3}}) {
+    SCOPED_TRACE(r.stream);
+    const std::string cmd = std::string(CLIZC_PATH) + " decompress " +
+                            r.stream + " -o " + path("out.f32") +
+                            " >/dev/null 2>" + path("err.txt");
+    const int status = std::system(cmd.c_str());
+    ASSERT_TRUE(WIFEXITED(status));
+    EXPECT_EQ(WEXITSTATUS(status), r.exit_code);
+    std::ifstream in(path("err.txt"));
+    const std::string message{std::istreambuf_iterator<char>(in),
+                              std::istreambuf_iterator<char>()};
+    EXPECT_NE(message.find("clizc: ["), std::string::npos) << message;
+    EXPECT_EQ(message.find(".cpp:"), std::string::npos) << message;
+    EXPECT_EQ(message.find("failed at"), std::string::npos) << message;
+  }
+}
+
 }  // namespace
 }  // namespace cliz

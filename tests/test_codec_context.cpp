@@ -219,7 +219,6 @@ TEST(CodecContext, AutotuneDeterministicUnderParallelTrials) {
   const auto b = autotune(field.data, eb, &field.mask, opts);
   AutotuneOptions serial = opts;
   serial.parallel_trials = false;
-  serial.reuse_contexts = false;
   const auto c = autotune(field.data, eb, &field.mask, serial);
 
   ASSERT_EQ(a.candidates.size(), b.candidates.size());
@@ -228,7 +227,7 @@ TEST(CodecContext, AutotuneDeterministicUnderParallelTrials) {
     EXPECT_EQ(a.candidates[i].config.label(), b.candidates[i].config.label());
     EXPECT_EQ(a.candidates[i].estimated_ratio,
               b.candidates[i].estimated_ratio);
-    // The pre-context serial loop ranks identically.
+    // The serial loop ranks identically.
     EXPECT_EQ(a.candidates[i].config.label(), c.candidates[i].config.label());
     EXPECT_EQ(a.candidates[i].estimated_ratio,
               c.candidates[i].estimated_ratio);

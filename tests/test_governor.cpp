@@ -68,6 +68,32 @@ TEST(ErrorTaxonomy, NamesAndRetryability) {
   EXPECT_EQ(Error("x").code(), ErrorCode::kCorruptStream);
 }
 
+TEST(ErrorTaxonomy, CheckSiteStaysOutOfWhat) {
+  // what() is the stable message; the failed condition and the build's
+  // source path go to where() only.
+  const auto fail = [](bool corrupt) {
+    const int sum = 1 + 1;
+    if (corrupt) CLIZ_REQUIRE(sum == 3, "sum is off");
+    CLIZ_REQUIRE_CODE(sum == 3, kBadArgument, "sum is off");
+  };
+  for (const bool corrupt : {true, false}) {
+    try {
+      fail(corrupt);
+      ADD_FAILURE() << "no Error thrown";
+    } catch (const Error& e) {
+      EXPECT_EQ(e.code(), corrupt ? ErrorCode::kCorruptStream
+                                  : ErrorCode::kBadArgument);
+      EXPECT_STREQ(e.what(), "cliz: sum is off");
+      const std::string where = e.where();
+      EXPECT_NE(where.find("sum == 3 failed at "), std::string::npos)
+          << where;
+      EXPECT_NE(where.find("test_governor.cpp:"), std::string::npos)
+          << where;
+    }
+  }
+  EXPECT_STREQ(Error(ErrorCode::kIo, "cliz: io").where(), "");
+}
+
 TEST(CancelGovernor, PreCancelledCompressRefuses) {
   const auto data = sample_field(8, 12, 10, 11);
   CancelToken token;

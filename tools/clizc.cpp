@@ -471,11 +471,12 @@ int cmd_compress(Args& args) {
     if (tune_backends) cliz_opts.lossless = tuned.best_lossless;
     std::fprintf(stderr,
                  "tuned pipeline: %s [predictor=%s lossless=%s] "
-                 "(%zu candidates, %.2f s)\n",
+                 "(%zu candidates, %zu trials, %.2f s)\n",
                  tuned.best.label().c_str(),
                  predictor_backend_name(cliz_opts.predictor),
                  lossless_backend_name(cliz_opts.lossless),
-                 tuned.candidates.size(), tuned.tuning_seconds);
+                 tuned.candidates.size(), tuned.trials_run,
+                 tuned.tuning_seconds);
     if (show_stats) {
       std::fprintf(stderr, "autotune: %s\n", tuned.to_json().c_str());
     }
